@@ -14,7 +14,7 @@
 
 #include "tree/direct.h"
 #include "tree/force_matcher.h"
-#include "tree/rcb_tree.h"
+#include "tree/multi_tree.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -62,14 +62,14 @@ int main() {
   for (std::size_t leaf : {8u, 16u, 32u, 64u, 128u, 256u, 512u}) {
     ParticleArray p = base;
     Timer tb;
-    RcbTree tree(p, RcbConfig{leaf});
+    MultiTree tree(p, MultiTreeConfig{0, RcbConfig{leaf}});
     const double build_ms = tb.elapsed() * 1e3;
     std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
     Timer tf;
-    const auto stats = compute_short_range(tree, kernel, ax, ay, az);
+    const auto stats = compute_short_range_multi(tree, kernel, ax, ay, az);
     const double force_ms = tf.elapsed() * 1e3;
     t.add_row({Table::integer(static_cast<long long>(leaf)),
-               Table::integer(static_cast<long long>(tree.leaves().size())),
+               Table::integer(static_cast<long long>(stats.leaves)),
                Table::fixed(build_ms, 1),
                Table::integer(static_cast<long long>(stats.walk_visits)),
                Table::integer(static_cast<long long>(stats.interactions)),

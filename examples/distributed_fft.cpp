@@ -1,9 +1,9 @@
 // Distributed FFT demo: the pencil-decomposed transform that anchors
 // HACC's long/medium-range solver (paper Sec. IV-A).
 //
-// Runs the same 3-D transform on 1, 4, and 8 simulated ranks (slab and
-// pencil decompositions), verifies all layouts agree with the serial
-// result, and reports wall-clock and the process-grid shapes.
+// Runs the same 3-D transform serially and on 4 and 8 simulated ranks,
+// verifies every pencil layout agrees with the serial result, and reports
+// wall-clock and the process-grid shapes.
 //
 // Build & run:  ./build/examples/distributed_fft
 #include <cstdio>
@@ -12,7 +12,6 @@
 #include "comm/comm.h"
 #include "fft/fft3d_local.h"
 #include "fft/pencil.h"
-#include "fft/slab.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -74,35 +73,8 @@ int main() {
     });
   }
 
-  comm::Machine::run(4, [&](comm::Comm& world) {
-    fft::SlabFft3D plan(world, n, n, n);
-    const auto rb = plan.real_box();
-    std::vector<Complex> local(rb.volume());
-    std::size_t i = 0;
-    for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t z = 0; z < n; ++z)
-          local[i++] = field_at(x, y, z);
-    Timer t;
-    plan.forward(local);
-    const double elapsed = t.elapsed();
-    const auto sb = plan.spectral_box();
-    double max_err = 0;
-    i = 0;
-    for (std::size_t x = 0; x < n; ++x)
-      for (std::size_t y = sb.y.lo; y < sb.y.hi; ++y)
-        for (std::size_t z = 0; z < n; ++z)
-          max_err = std::max(
-              max_err, std::abs(local[i++] - reference[(x * n + y) * n + z]));
-    const double global_err =
-        world.allreduce_value(max_err, comm::ReduceOp::kMax);
-    if (world.rank() == 0) {
-      std::printf("slab   4 ranks:           %7.3f s   max err %.2e\n",
-                  elapsed, global_err);
-      std::printf("\n(slab is limited to N_rank <= N_fft = %zu; the pencil "
-                  "decomposition lifts this to N_rank <= N^2 = %zu)\n",
-                  n, n * n);
-    }
-  });
+  std::printf("\n(a pencil decomposition runs on up to N^2 = %zu ranks; a "
+              "slab one stops at N = %zu)\n",
+              n * n, n);
   return 0;
 }

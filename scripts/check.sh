@@ -3,7 +3,10 @@
 #
 #   scripts/check.sh [build-dir]
 #
-# 1. Configure + build the default tree and run the full ctest suite.
+# 1. Configure + build the default tree and run the full ctest suite, then
+#    run the OpenMP-heavy suites (tree_test, multi_tree_test, core_test,
+#    audit_test) again at OMP_NUM_THREADS=1 and at $(nproc), so no
+#    single-thread assumption can hide behind the default team size.
 # 2. Configure a second tree with -DHACC_SANITIZE=address, build only the
 #    I/O test binaries (io_test, gio_test), and run them — the checkpoint
 #    writer/reader funnels raw byte spans through threads, which is exactly
@@ -50,6 +53,13 @@ cmake --build "$BUILD" -j "$JOBS"
 
 echo "== tier-1: ctest =="
 ctest --test-dir "$BUILD" --output-on-failure -j 4
+
+for threads in 1 "$(nproc)"; do
+  echo "== threads: OMP_NUM_THREADS=${threads} =="
+  for t in tree_test multi_tree_test core_test audit_test; do
+    OMP_NUM_THREADS="$threads" "$BUILD/tests/$t"
+  done
+done
 
 echo "== asan: configure + build io_test gio_test (${ASAN_BUILD}) =="
 cmake -B "$ASAN_BUILD" -S . -DHACC_SANITIZE=address >/dev/null

@@ -89,35 +89,6 @@ std::uint64_t particle_checksum(const tree::ParticleArray& particles,
 }
 
 DuplicateExecutionResult duplicate_execution_check(
-    const tree::RcbTree& tree, const tree::ShortRangeKernel& kernel,
-    std::span<const float> ax, std::span<const float> ay,
-    std::span<const float> az, float mass_scale, const AuditConfig& config,
-    std::uint64_t draw_key) {
-  DuplicateExecutionResult out;
-  const auto& leaves = tree.leaves();
-  if (leaves.empty() || config.sample_leaves <= 0) return out;
-  Philox::Stream draw(Philox(config.seed, draw_key));
-  tree::NeighborList list;
-  // A budget that covers the whole leaf set means "audit everything":
-  // sweep exhaustively rather than drawing with replacement (which would
-  // leave ~1/e of the leaves uncovered even at budget == leaf count).
-  const bool exhaustive =
-      static_cast<std::size_t>(config.sample_leaves) >= leaves.size();
-  const std::size_t samples = std::min<std::size_t>(
-      static_cast<std::size_t>(config.sample_leaves), leaves.size());
-  for (std::size_t s = 0; s < samples; ++s) {
-    const std::uint32_t leaf =
-        exhaustive ? leaves[s] : leaves[draw.index(leaves.size())];
-    list.clear();
-    tree.gather_neighbors(leaf, kernel.rmax, list);
-    ++out.sampled_leaves;
-    check_leaf(tree.particles(), tree.nodes()[leaf], list, kernel,
-               mass_scale, ax, ay, az, config, out);
-  }
-  return out;
-}
-
-DuplicateExecutionResult duplicate_execution_check(
     const tree::MultiTree& forest, const tree::ShortRangeKernel& kernel,
     std::span<const float> ax, std::span<const float> ay,
     std::span<const float> az, float mass_scale, const AuditConfig& config,
@@ -131,6 +102,9 @@ DuplicateExecutionResult duplicate_execution_check(
   if (pairs.empty() || config.sample_leaves <= 0) return out;
   Philox::Stream draw(Philox(config.seed, draw_key));
   tree::NeighborList list;
+  // A budget that covers the whole leaf set means "audit everything":
+  // sweep exhaustively rather than drawing with replacement (which would
+  // leave ~1/e of the leaves uncovered even at budget == leaf count).
   const bool exhaustive =
       static_cast<std::size_t>(config.sample_leaves) >= pairs.size();
   const std::size_t samples = std::min<std::size_t>(

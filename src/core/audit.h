@@ -41,7 +41,6 @@
 #include "tree/force_kernel.h"
 #include "tree/multi_tree.h"
 #include "tree/particles.h"
-#include "tree/rcb_tree.h"
 
 namespace hacc::core {
 
@@ -101,19 +100,12 @@ struct DuplicateExecutionResult {
   std::string detail;
 };
 
-/// Re-run `config.sample_leaves` seeded-random leaves of `tree` through the
-/// scalar reference kernel (fresh neighbor gather, evaluate_neighbor_list)
-/// and compare against the accumulated short-range forces ax/ay/az (indexed
+/// Re-run `config.sample_leaves` seeded-random (tree, leaf) pairs of
+/// `forest` through the scalar reference kernel (fresh neighbor gather over
+/// all trees, exactly like the production walk; evaluate_neighbor_list) and
+/// compare against the accumulated short-range forces ax/ay/az (indexed
 /// like the tree-permuted particle array). `draw_key` (e.g. the step
 /// number) varies the sample across calls while keeping it reproducible.
-DuplicateExecutionResult duplicate_execution_check(
-    const tree::RcbTree& tree, const tree::ShortRangeKernel& kernel,
-    std::span<const float> ax, std::span<const float> ay,
-    std::span<const float> az, float mass_scale, const AuditConfig& config,
-    std::uint64_t draw_key);
-
-/// MultiTree overload: samples (tree, leaf) pairs across the forest; the
-/// neighbor gather searches all trees, exactly like the production walk.
 DuplicateExecutionResult duplicate_execution_check(
     const tree::MultiTree& forest, const tree::ShortRangeKernel& kernel,
     std::span<const float> ax, std::span<const float> ay,

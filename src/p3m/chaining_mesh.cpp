@@ -12,10 +12,6 @@
 
 namespace hacc::p3m {
 
-namespace {
-const NameId kTrcKernel = intern_name("sr-kernel");
-}  // namespace
-
 using tree::InteractionStats;
 using tree::NeighborList;
 using tree::ParticleArray;
@@ -48,7 +44,6 @@ InteractionStats compute_short_range_p3m(const ParticleArray& p,
                                          float mass_scale,
                                          const P3mConfig& config,
                                          tree::KernelVariant variant) {
-  obs::TraceScope trace(kTrcKernel);
   const std::size_t n = p.size();
   HACC_CHECK(ax.size() == n && ay.size() == n && az.size() == n);
   HACC_CHECK_MSG(config.cell_size >= kernel.rmax,

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "util/error.h"
 
@@ -11,12 +12,24 @@ namespace hacc::serve {
 
 namespace {
 
-/// Typed view over a cached sub-block. The bytes come from a heap vector,
-/// whose allocation is aligned for any scalar type.
+/// Typed view over a cached sub-block that holds the block itself, so the
+/// view stays valid when the cache does not keep (or evicts) the entry.
+/// The bytes come from a heap vector, whose allocation is aligned for any
+/// scalar type.
 template <typename T>
-std::span<const T> as(const CacheBlock& b) {
+struct Column {
+  CacheBlock block;
+  std::span<const T> view;
+  const T& operator[](std::size_t i) const { return view[i]; }
+  std::size_t size() const noexcept { return view.size(); }
+};
+
+template <typename T>
+Column<T> as(CacheBlock b) {
   HACC_CHECK(b->size() % sizeof(T) == 0);
-  return {reinterpret_cast<const T*>(b->data()), b->size() / sizeof(T)};
+  const std::span<const T> view{reinterpret_cast<const T*>(b->data()),
+                                b->size() / sizeof(T)};
+  return {std::move(b), view};
 }
 
 }  // namespace
@@ -106,9 +119,9 @@ std::optional<CatalogStore::HaloRecord> CatalogStore::halo_by_id(
     if (fe->file->rows(b) == 0) continue;
     const auto ids = as<std::uint64_t>(column(*fe, b, v_id));
     // Catalog rows are sorted by halo id at write time.
-    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-    if (it == ids.end() || *it != id) continue;
-    const auto row = static_cast<std::size_t>(it - ids.begin());
+    const auto it = std::lower_bound(ids.view.begin(), ids.view.end(), id);
+    if (it == ids.view.end() || *it != id) continue;
+    const auto row = static_cast<std::size_t>(it - ids.view.begin());
     HaloRecord rec;
     rec.id = id;
     rec.count = as<std::uint64_t>(column(*fe, b, var_of(*fe, "count")))[row];

@@ -16,9 +16,6 @@ namespace hacc::tree {
 
 namespace {
 
-const NameId kTrcBuild = intern_name("tree-build");
-const NameId kTrcKernel = intern_name("sr-kernel");
-
 struct Block {
   std::uint32_t first, count;
 };
@@ -27,7 +24,6 @@ struct Block {
 
 MultiTree::MultiTree(ParticleArray& particles, MultiTreeConfig config)
     : particles_(&particles) {
-  obs::TraceScope trace(kTrcBuild);
   HACC_CHECK(config.splits >= 0 && config.splits <= 8);
   const auto n = static_cast<std::uint32_t>(particles.size());
 
@@ -123,7 +119,6 @@ InteractionStats compute_short_range_multi(const MultiTree& forest,
                                            float mass_scale,
                                            KernelVariant variant,
                                            ShortRangeWorkspace* ws) {
-  obs::TraceScope trace(kTrcKernel);
   const ParticleArray& p = forest.particles();
   HACC_CHECK(ax.size() == p.size() && ay.size() == p.size() &&
              az.size() == p.size());

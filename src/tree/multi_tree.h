@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "tree/force_kernel.h"
 #include "tree/rcb_tree.h"
 
 namespace hacc::tree {
@@ -47,11 +48,15 @@ class MultiTree {
   std::vector<RcbTree> trees_;
 };
 
-/// Short-range forces over a MultiTree; identical physics to the
-/// single-tree compute_short_range, threaded over (tree, leaf) pairs.
-/// `variant` picks the inner loop (tile-batched vs scalar); a persistent
-/// `ws` keeps the flattened work vector and per-thread neighbor lists
-/// across steps, making the phase allocation-free in steady state.
+/// Short-range forces for every local particle: walk once per leaf (over
+/// all trees), then run the kernel for the leaf's particles against the
+/// shared list. `ax/ay/az` are indexed like the (tree-permuted) particle
+/// array and are *overwritten*. Threaded over (tree, leaf) pairs with
+/// OpenMP. Neighbor masses are scaled by `mass_scale` (the 1/(4 pi rho_bar)
+/// code-unit normalization), folded into the kernel evaluation. `variant`
+/// picks the inner loop (tile-batched vs scalar); a persistent `ws` keeps
+/// the flattened work vector and per-thread neighbor lists across steps,
+/// making the phase allocation-free in steady state.
 InteractionStats compute_short_range_multi(
     const MultiTree& forest, const ShortRangeKernel& kernel,
     std::span<float> ax, std::span<float> ay, std::span<float> az,

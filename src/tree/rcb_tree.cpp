@@ -1,18 +1,8 @@
 #include "tree/rcb_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stack>
-
-#include "obs/costmap.h"
-#include "obs/obs.h"
-#include "tree/interaction_batch.h"
-#include "util/telemetry.h"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace hacc::tree {
 
@@ -119,9 +109,7 @@ void RcbTree::build(RcbConfig config, std::uint32_t first,
     work.pop();
     depth_ = std::max(depth_, w.depth);
     RcbNode node = nodes_[static_cast<std::size_t>(w.node)];
-    // Depth cap guards against adversarial distributions where center-of-
-    // mass splits shave off O(1) particles per level.
-    if (node.count <= config.leaf_size || w.depth > 96) {
+    if (node.count <= config.leaf_size || w.depth > kMaxRcbDepth) {
       leaves_.push_back(static_cast<std::uint32_t>(w.node));
       continue;
     }
@@ -178,14 +166,6 @@ float RcbTree::box_distance2(const RcbNode& node,
   return d2;
 }
 
-void RcbTree::gather_neighbors(std::uint32_t leaf_node, float rcut,
-                               NeighborList& out,
-                               std::size_t* visits) const {
-  const RcbNode& leaf = nodes_[leaf_node];
-  gather_neighbors_into(leaf.lo, leaf.hi, rcut, out, visits,
-                        /*append=*/false);
-}
-
 void RcbTree::gather_neighbors_into(const std::array<float, 3>& lo,
                                     const std::array<float, 3>& hi,
                                     float rcut, NeighborList& out,
@@ -201,7 +181,6 @@ void RcbTree::gather_neighbors_into(const std::array<float, 3>& lo,
   // allocation-free in steady state.
   std::vector<std::int32_t>& stack = out.walk_stack;
   stack.clear();
-  if (stack.capacity() < 64) stack.reserve(64);
   stack.push_back(0);
   while (!stack.empty()) {
     const RcbNode& node = nodes_[static_cast<std::size_t>(stack.back())];
@@ -225,63 +204,6 @@ void RcbTree::gather_neighbors_into(const std::array<float, 3>& lo,
     }
   }
   if (visits != nullptr) *visits += visited;
-}
-
-InteractionStats compute_short_range(const RcbTree& tree,
-                                     const ShortRangeKernel& kernel,
-                                     std::span<float> ax, std::span<float> ay,
-                                     std::span<float> az, float mass_scale,
-                                     KernelVariant variant,
-                                     ShortRangeWorkspace* ws) {
-  const ParticleArray& p = tree.particles();
-  HACC_CHECK(ax.size() == p.size() && ay.size() == p.size() &&
-             az.size() == p.size());
-  const auto& leaves = tree.leaves();
-  InteractionStats stats;
-  stats.leaves = leaves.size();
-  stats.particles = p.size();
-
-  ShortRangeWorkspace local;
-  ShortRangeWorkspace& w = ws != nullptr ? *ws : local;
-#ifdef _OPENMP
-  w.prepare_lists(static_cast<std::size_t>(omp_get_max_threads()));
-#else
-  w.prepare_lists(1);
-#endif
-
-  // Cost attribution: the thread-local binding does not propagate into the
-  // OpenMP workers, so capture the rank thread's cost map here and share
-  // the pointer (CostMap::record is thread-safe, one call per leaf).
-  obs::CostMap* cost = obs::cost_map();
-
-  std::size_t interactions = 0, walk_visits = 0;
-#pragma omp parallel reduction(+ : interactions, walk_visits)
-  {
-#ifdef _OPENMP
-    NeighborList& list = w.lists[static_cast<std::size_t>(omp_get_thread_num())];
-#else
-    NeighborList& list = w.lists[0];
-#endif
-#pragma omp for schedule(dynamic, 1)
-    for (std::size_t li = 0; li < leaves.size(); ++li) {
-      const RcbNode& leaf = tree.nodes()[leaves[li]];
-      tree.gather_neighbors(leaves[li], kernel.rmax, list, &walk_visits);
-      // True gathered count, before the batched path pads the list.
-      const std::size_t true_n = list.size();
-      const std::uint64_t t0 = cost != nullptr ? util::now_ns() : 0;
-      evaluate_leaf(variant, kernel, p, leaf.first, leaf.count, list,
-                    mass_scale, ax, ay, az);
-      const std::size_t pp = static_cast<std::size_t>(leaf.count) * true_n;
-      if (cost != nullptr)
-        cost->record(obs::LeafCost{leaf.lo, leaf.hi, leaf.count, pp,
-                                   util::now_ns() - t0});
-      interactions += pp;
-    }
-  }
-  w.record_high_water();
-  stats.interactions = interactions;
-  stats.walk_visits = walk_visits;
-  return stats;
 }
 
 }  // namespace hacc::tree

@@ -18,6 +18,9 @@
 // position/velocity arrays; phase 3 to the remaining arrays. Separating the
 // phases turns the data movement into streaming passes that prefetch well
 // and avoid read-after-write hazards.
+//
+// Short-range forces are evaluated through MultiTree (multi_tree.h); a
+// forest with zero splits is exactly one tree over the whole array.
 #pragma once
 
 #include <array>
@@ -25,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "tree/force_kernel.h"
 #include "tree/particles.h"
 
 namespace hacc::tree {
@@ -39,6 +41,11 @@ struct RcbNode {
   std::int32_t right = -1;
   bool is_leaf() const noexcept { return left < 0; }
 };
+
+/// Builds stop splitting at this depth; it guards against adversarial
+/// distributions where center-of-mass splits shave off O(1) particles per
+/// level, and bounds the walk stack.
+inline constexpr std::size_t kMaxRcbDepth = 96;
 
 struct RcbConfig {
   /// Target particles per leaf ("fat leaves": ~200 on BG/Q, up to 1e5 in
@@ -63,6 +70,8 @@ struct NeighborList {
     y.reserve(n);
     z.reserve(n);
     m.reserve(n);
+    // A depth-first walk holds at most one pending sibling per level.
+    walk_stack.reserve(kMaxRcbDepth + 2);
   }
   std::size_t size() const noexcept { return x.size(); }
   std::size_t capacity() const noexcept { return x.capacity(); }
@@ -85,8 +94,8 @@ struct InteractionStats {
 /// one of these across steps makes the phase allocation-free in steady
 /// state: the flattened (tree, leaf) work vector and the per-thread
 /// neighbor lists retain their high-water capacity. Every per-thread list
-/// is re-reserved to the *global* high-water mark `list_reserve` before
-/// each evaluation, so OpenMP dynamic scheduling handing a fat leaf to a
+/// is reserved to the *global* high-water mark `list_reserve` as soon as
+/// the mark rises, so OpenMP dynamic scheduling handing a fat leaf to a
 /// different thread than last step cannot trigger a regrow.
 struct ShortRangeWorkspace {
   std::vector<std::pair<std::size_t, std::uint32_t>> work;
@@ -98,10 +107,13 @@ struct ShortRangeWorkspace {
     if (lists.size() < nthreads) lists.resize(nthreads);
     for (auto& l : lists) l.reserve(list_reserve);
   }
-  /// Fold this evaluation's capacities into the high-water mark.
-  void record_high_water() noexcept {
+  /// Fold this evaluation's capacities into the high-water mark, then
+  /// bring every list up to it — a list that lagged the fattest thread
+  /// would otherwise regrow on the next call.
+  void record_high_water() {
     for (const auto& l : lists)
       if (l.capacity() > list_reserve) list_reserve = l.capacity();
+    for (auto& l : lists) l.reserve(list_reserve);
   }
 };
 
@@ -122,16 +134,10 @@ class RcbTree {
   const ParticleArray& particles() const noexcept { return *particles_; }
   std::size_t depth() const noexcept { return depth_; }
 
-  /// Gather every particle within `rcut` of the leaf's bounding box
-  /// (including the leaf's own) into `out`. `visits` (optional) counts
-  /// nodes touched. This is the walk the fat-leaf design minimizes.
-  void gather_neighbors(std::uint32_t leaf_node, float rcut,
-                        NeighborList& out,
-                        std::size_t* visits = nullptr) const;
-
   /// Gather every particle within `rcut` of the box [lo, hi] into `out`
-  /// (appending when `append` is set). Lets MultiTree search foreign trees
-  /// for a leaf that lives in another tree.
+  /// (appending when `append` is set). `visits` (optional) counts nodes
+  /// touched. This is the walk the fat-leaf design minimizes; MultiTree
+  /// runs it over every tree for a leaf's box.
   void gather_neighbors_into(const std::array<float, 3>& lo,
                              const std::array<float, 3>& hi, float rcut,
                              NeighborList& out, std::size_t* visits = nullptr,
@@ -160,19 +166,5 @@ std::uint32_t three_phase_partition(
     ParticleArray& particles, std::uint32_t first, std::uint32_t count,
     int dim, float split,
     std::vector<std::pair<std::uint32_t, std::uint32_t>>& swaps);
-
-/// Short-range forces for every local particle: walk once per leaf, then
-/// run the kernel for the leaf's particles against the shared list (the
-/// tile-batched path of interaction_batch.h, or the scalar loop, per
-/// `variant`). `ax/ay/az` are indexed like the (tree-permuted) particle
-/// array and are *overwritten*. Threaded over leaves with OpenMP. Neighbor
-/// masses are scaled by `mass_scale` (the 1/(4 pi rho_bar) code-unit
-/// normalization), folded into the kernel evaluation. Pass a persistent
-/// `ws` to make the phase allocation-free across steps.
-InteractionStats compute_short_range(
-    const RcbTree& tree, const ShortRangeKernel& kernel, std::span<float> ax,
-    std::span<float> ay, std::span<float> az, float mass_scale = 1.0f,
-    KernelVariant variant = default_kernel_variant(),
-    ShortRangeWorkspace* ws = nullptr);
 
 }  // namespace hacc::tree

@@ -7,7 +7,7 @@
 //   * sampled duplicate execution never false-positives on clean state
 //     across 50 seeded draws for BOTH kernel variants, and catches a
 //     flipped mantissa or exponent bit of a stored force at both variants
-//     (single tree and MultiTree forest);
+//     (one-tree and multi-tree forests);
 //   * the health gate (audits included) costs exactly ONE allreduce;
 //   * end-to-end: a seeded bit flip at step N is detected within one audit
 //     cadence, rolled back in place (no machine relaunch), and the run
@@ -38,7 +38,6 @@
 #include "obs/obs.h"
 #include "tree/force_kernel.h"
 #include "tree/multi_tree.h"
-#include "tree/rcb_tree.h"
 #include "util/rng.h"
 
 namespace hacc::core {
@@ -47,9 +46,10 @@ namespace {
 namespace fs = std::filesystem;
 
 using tree::KernelVariant;
+using tree::MultiTree;
+using tree::MultiTreeConfig;
 using tree::ParticleArray;
 using tree::RcbConfig;
-using tree::RcbTree;
 using tree::Role;
 using tree::ShortRangeKernel;
 
@@ -217,10 +217,10 @@ TEST_P(DupExecVariant, CleanStateNeverFalsePositivesAcross50Draws) {
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  RcbTree tree(p, RcbConfig{32});
+  MultiTree tree(p, MultiTreeConfig{0, RcbConfig{32}});
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  compute_short_range(tree, kernel, ax, ay, az, /*mass_scale=*/1.0f,
-                      GetParam());
+  compute_short_range_multi(tree, kernel, ax, ay, az, /*mass_scale=*/1.0f,
+                            GetParam());
 
   AuditConfig config;
   config.sample_leaves = 4;
@@ -242,10 +242,11 @@ TEST_P(DupExecVariant, CatchesFlippedMantissaAndExponentBits) {
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  RcbTree tree(p, RcbConfig{512});
-  ASSERT_EQ(tree.leaves().size(), 1u);
+  MultiTree tree(p, MultiTreeConfig{0, RcbConfig{512}});
+  ASSERT_EQ(tree.trees().size(), 1u);
+  ASSERT_EQ(tree.trees()[0].leaves().size(), 1u);
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  compute_short_range(tree, kernel, ax, ay, az, 1.0f, GetParam());
+  compute_short_range_multi(tree, kernel, ax, ay, az, 1.0f, GetParam());
 
   // Victim: the largest stored force component (a mantissa flip of a
   // near-zero component hides below the absolute tolerance by design).
@@ -274,8 +275,7 @@ TEST_P(DupExecVariant, MultiTreeForestSamplingCatchesFlips) {
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  tree::MultiTree forest(p, tree::MultiTreeConfig{/*splits=*/2,
-                                                  RcbConfig{32}});
+  MultiTree forest(p, MultiTreeConfig{/*splits=*/2, RcbConfig{32}});
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
   compute_short_range_multi(forest, kernel, ax, ay, az, 1.0f, GetParam());
 

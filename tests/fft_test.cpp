@@ -1,6 +1,6 @@
 // Tests for the FFT stack: 1-D mixed-radix + Bluestein, serial 3-D, and the
-// distributed slab and pencil transforms (validated against the serial one
-// over sweeps of grid sizes and process-grid shapes).
+// distributed pencil transform (validated against the serial one over
+// sweeps of grid sizes and process-grid shapes).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include "fft/fft1d.h"
 #include "fft/fft3d_local.h"
 #include "fft/pencil.h"
-#include "fft/slab.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -607,68 +606,6 @@ TEST(Pencil, RejectsOversubscribedAxis) {
   comm::Machine::run(6, [](comm::Comm& world) {
     // p1 = 6 > ny = 4.
     EXPECT_THROW(PencilFft3D(world, 8, 4, 8, 6, 1), Error);
-  });
-}
-
-// ---- slab ---------------------------------------------------------------------
-
-class SlabTest : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Ranks, SlabTest, ::testing::Values(1, 2, 3, 4, 8));
-
-TEST_P(SlabTest, ForwardMatchesSerial) {
-  const int p = GetParam();
-  const std::size_t nx = 8, ny = 12, nz = 6;
-  const auto field = global_field(nx, ny, nz, 77);
-  const auto expect = reference_spectrum(field, nx, ny, nz);
-  comm::Machine::run(p, [&](comm::Comm& world) {
-    SlabFft3D fft(world, nx, ny, nz);
-    const Box3D rb = fft.real_box();
-    std::vector<Complex> local(rb.volume());
-    std::size_t i = 0;
-    for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
-      for (std::size_t y = 0; y < ny; ++y)
-        for (std::size_t z = 0; z < nz; ++z)
-          local[i++] = field[(x * ny + y) * nz + z];
-    fft.forward(local);
-    const Box3D sb = fft.spectral_box();
-    i = 0;
-    for (std::size_t x = 0; x < nx; ++x)
-      for (std::size_t y = sb.y.lo; y < sb.y.hi; ++y)
-        for (std::size_t z = 0; z < nz; ++z) {
-          EXPECT_LT(std::abs(local[i] - expect[(x * ny + y) * nz + z]), 1e-8);
-          ++i;
-        }
-  });
-}
-
-TEST_P(SlabTest, RoundTrip) {
-  const int p = GetParam();
-  const std::size_t n = 8;
-  const auto field = global_field(n, n, n, 31);
-  comm::Machine::run(p, [&](comm::Comm& world) {
-    SlabFft3D fft(world, n, n, n);
-    const Box3D rb = fft.real_box();
-    std::vector<Complex> local(rb.volume());
-    std::size_t i = 0;
-    for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t z = 0; z < n; ++z)
-          local[i++] = field[(x * n + y) * n + z];
-    const auto orig = local;
-    fft.forward(local);
-    fft.inverse(local);
-    double m = 0;
-    for (std::size_t j = 0; j < local.size(); ++j)
-      m = std::max(m, std::abs(local[j] - orig[j]));
-    EXPECT_LT(m, 1e-10);
-  });
-}
-
-TEST(Slab, EnforcesRankLimit) {
-  // The slab decomposition is subject to N_rank <= N_fft (paper Sec. IV-A);
-  // the pencil FFT exists precisely to lift this.
-  comm::Machine::run(9, [](comm::Comm& world) {
-    EXPECT_THROW(SlabFft3D(world, 8, 8, 8), Error);
   });
 }
 

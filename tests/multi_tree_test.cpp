@@ -1,10 +1,11 @@
 // Tests for the Sec.-VI extensions: multiple RCB trees per rank and the
-// threaded CIC deposit. The contract for both: identical results to the
-// single-tree / serial implementations (up to float summation order).
+// threaded CIC deposit. The contract for both: the same results as the
+// direct-summation oracle / serial deposit (up to float summation order).
 // Also home of the short-range steady-state allocation gate (this binary
 // replaces the global allocator to count, like fft_test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include "comm/comm.h"
 #include "core/simulation.h"
 #include "mesh/cic.h"
+#include "tree/direct.h"
 #include "tree/force_matcher.h"
 #include "tree/multi_tree.h"
 #include "util/rng.h"
@@ -125,36 +127,30 @@ class MultiTreeSplits : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Splits, MultiTreeSplits,
                          ::testing::Values(0, 1, 2, 3, 4));
 
-TEST_P(MultiTreeSplits, ForcesMatchSingleTree) {
+TEST_P(MultiTreeSplits, ForcesMatchDirectSummation) {
+  // The forest gathers every particle within the hand-over radius, across
+  // all trees, so for any split count it must agree with the O(N^2) direct
+  // sum to float round-off (summation order differs).
   const int splits = GetParam();
-  ParticleArray p1 = random_particles(1200, 14.0f, 7);
-  ParticleArray p2 = p1;
+  ParticleArray p = random_particles(1200, 14.0f, 7);
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = default_fgrid_poly5();
 
-  RcbTree single(p1, RcbConfig{32});
-  std::vector<float> a1x(p1.size()), a1y(p1.size()), a1z(p1.size());
-  compute_short_range(single, kernel, a1x, a1y, a1z);
-
-  MultiTree forest(p2, MultiTreeConfig{splits, RcbConfig{32}});
+  MultiTree forest(p, MultiTreeConfig{splits, RcbConfig{32}});
   EXPECT_EQ(forest.trees().size(), 1u << splits);
-  std::vector<float> a2x(p2.size()), a2y(p2.size()), a2z(p2.size());
-  const auto stats = compute_short_range_multi(forest, kernel, a2x, a2y, a2z);
-  EXPECT_EQ(stats.particles, p2.size());
+  std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
+  const auto stats = compute_short_range_multi(forest, kernel, ax, ay, az);
+  EXPECT_EQ(stats.particles, p.size());
 
-  // Compare by particle id (both builds permute).
-  std::vector<std::size_t> slot1(p1.size()), slot2(p2.size());
-  for (std::size_t i = 0; i < p1.size(); ++i) slot1[p1.id[i]] = i;
-  for (std::size_t i = 0; i < p2.size(); ++i) slot2[p2.id[i]] = i;
+  std::vector<float> dx(p.size()), dy(p.size()), dz(p.size());
+  direct_short_range(p, kernel, dx, dy, dz);
   double max_err = 0, scale = 0;
-  for (std::size_t id = 0; id < p1.size(); ++id) {
-    const std::size_t i = slot1[id], j = slot2[id];
-    max_err =
-        std::max({max_err, std::abs(static_cast<double>(a1x[i] - a2x[j])),
-                  std::abs(static_cast<double>(a1y[i] - a2y[j])),
-                  std::abs(static_cast<double>(a1z[i] - a2z[j]))});
-    scale = std::max(scale, std::abs(static_cast<double>(a1x[i])));
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    max_err = std::max({max_err, std::abs(static_cast<double>(ax[i] - dx[i])),
+                        std::abs(static_cast<double>(ay[i] - dy[i])),
+                        std::abs(static_cast<double>(az[i] - dz[i]))});
+    scale = std::max(scale, std::abs(static_cast<double>(dx[i])));
   }
   EXPECT_LT(max_err, 5e-4 * (scale + 1.0)) << "splits=" << splits;
 }
@@ -242,22 +238,29 @@ TEST(MultiTreeKernel, SteadyStateShortRangeIsAllocationFree) {
   // phase allocates nothing after the first (warmup) step — the flattened
   // (tree, leaf) work vector and every per-thread neighbor list are
   // reserved to their high-water marks and reused.
-  ParticleArray p = random_particles(4000, 14.0f, 22);
-  MultiTree forest(p, MultiTreeConfig{2, RcbConfig{48}});
+  // Splits 0 (one tree, the simulation's default) and 2 (a forest); every
+  // OpenMP thread count must hold, not just one.
   ShortRangeKernel kernel;
   kernel.fgrid = default_fgrid_poly5();
-  std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  ShortRangeWorkspace ws;
-  for (const auto variant : {KernelVariant::kBatched, KernelVariant::kScalar}) {
-    // Warmup populates the workspace (and the OpenMP team, first time).
-    compute_short_range_multi(forest, kernel, ax, ay, az, 1.0f, variant, &ws);
-    alloc_hook::count.store(0);
-    alloc_hook::armed.store(true);
-    compute_short_range_multi(forest, kernel, ax, ay, az, 1.0f, variant, &ws);
-    alloc_hook::armed.store(false);
-    EXPECT_EQ(alloc_hook::count.load(), 0u)
-        << "steady-state allocation in variant "
-        << kernel_variant_name(variant);
+  for (const int splits : {0, 2}) {
+    ParticleArray p = random_particles(4000, 14.0f, 22);
+    MultiTree forest(p, MultiTreeConfig{splits, RcbConfig{48}});
+    std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
+    ShortRangeWorkspace ws;
+    for (const auto variant :
+         {KernelVariant::kBatched, KernelVariant::kScalar}) {
+      // Warmup populates the workspace (and the OpenMP team, first time).
+      compute_short_range_multi(forest, kernel, ax, ay, az, 1.0f, variant,
+                                &ws);
+      alloc_hook::count.store(0);
+      alloc_hook::armed.store(true);
+      compute_short_range_multi(forest, kernel, ax, ay, az, 1.0f, variant,
+                                &ws);
+      alloc_hook::armed.store(false);
+      EXPECT_EQ(alloc_hook::count.load(), 0u)
+          << "steady-state allocation at splits=" << splits << " in variant "
+          << kernel_variant_name(variant);
+    }
   }
 }
 

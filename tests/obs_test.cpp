@@ -4,11 +4,13 @@
 // criteria (ledger phase coverage, merged trace validity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <new>
 #include <set>
 #include <sstream>
@@ -77,7 +79,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 #include "obs/watchdog.h"
 #include "tree/force_matcher.h"
 #include "tree/particles.h"
-#include "tree/rcb_tree.h"
+#include "tree/multi_tree.h"
 #include "util/names.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -675,6 +677,44 @@ TEST(SimulationLedger, FourRankRunWritesLedgerAndTrace) {
   std::remove(trace_path.c_str());
 }
 
+// Each short-range phase is one span: the Simulation's timer scope reports
+// it through the TraceHook, and the tree/P3M libraries add no second span.
+TEST(SimulationTrace, OneSpanPerShortRangePhase) {
+  const std::string trace_path = temp_path("obs_sim_spans.json");
+  for (const auto solver :
+       {core::ShortRangeSolver::kTreePP, core::ShortRangeSolver::kP3m}) {
+    core::SimulationConfig cfg;
+    cfg.grid = 16;
+    cfg.particles_per_dim = 12;
+    cfg.steps = 2;
+    cfg.subcycles = 2;
+    cfg.overload = 2.0;
+    cfg.solver = solver;
+    cfg.trace_path = trace_path;
+    cosmology::Cosmology cosmo;
+    comm::Machine::run(1, [&](comm::Comm& c) {
+      core::Simulation sim(c, cosmo, cfg);
+      sim.initialize();
+      std::map<std::string, std::size_t> before;
+      for (const char* phase : {"tree-build", "sr-kernel"})
+        before[phase] = sim.timers().count(phase);
+      sim.run();
+      ASSERT_EQ(sim.tracer().dropped(), 0u);
+      const auto events = sim.tracer().snapshot();
+      for (const char* phase : {"tree-build", "sr-kernel"}) {
+        const NameId id = intern_name(phase);
+        const auto spans = static_cast<std::size_t>(
+            std::count_if(events.begin(), events.end(),
+                          [&](const Tracer::Event& e) { return e.name == id; }));
+        EXPECT_EQ(spans, sim.timers().count(phase) - before[phase])
+            << phase << " solver=" << static_cast<int>(solver);
+      }
+      EXPECT_GT(sim.timers().count("sr-kernel"), before["sr-kernel"]);
+    });
+  }
+  std::remove(trace_path.c_str());
+}
+
 // ---- metrics core: histograms + Prometheus exposition -----------------------
 
 TEST(Metrics, HistogramRecordsCountSumAndQuantiles) {
@@ -857,7 +897,7 @@ TEST(CostMap, ClusteredDistributionShowsLeafImbalance) {
   tree::ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  tree::RcbTree rcb(p, tree::RcbConfig{32});
+  tree::MultiTree rcb(p, tree::MultiTreeConfig{0, tree::RcbConfig{32}});
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
 
   CostMap cost;
@@ -865,13 +905,13 @@ TEST(CostMap, ClusteredDistributionShowsLeafImbalance) {
   tree::InteractionStats stats;
   {
     Binding binding(nullptr, nullptr, &cost);
-    stats = tree::compute_short_range(rcb, kernel, ax, ay, az);
+    stats = tree::compute_short_range_multi(rcb, kernel, ax, ay, az);
   }
 
   // Every evaluated leaf left a record, and the records account for the
   // kernel's own interaction count exactly.
   const auto summary = cost.summarize();
-  EXPECT_EQ(summary.leaves, rcb.leaves().size());
+  EXPECT_EQ(summary.leaves, rcb.trees()[0].leaves().size());
   EXPECT_EQ(summary.particles, p.size());
   EXPECT_EQ(summary.interactions, stats.interactions);
   EXPECT_GT(summary.kernel_ns, 0u);
@@ -892,13 +932,13 @@ TEST(CostMap, ClusteredDistributionShowsLeafImbalance) {
 
   // The same box, uniformly filled, is flatter in interaction terms.
   tree::ParticleArray u = clustered_particles(1200, 16.0f, 99, /*clustered=*/false);
-  tree::RcbTree urcb(u, tree::RcbConfig{32});
+  tree::MultiTree urcb(u, tree::MultiTreeConfig{0, tree::RcbConfig{32}});
   std::vector<float> ux(u.size()), uy(u.size()), uz(u.size());
   CostMap ucost;
   ucost.begin_step();
   {
     Binding binding(nullptr, nullptr, &ucost);
-    tree::compute_short_range(urcb, kernel, ux, uy, uz);
+    tree::compute_short_range_multi(urcb, kernel, ux, uy, uz);
   }
   std::uint64_t umax = 0;
   std::uint64_t utotal = 0;
@@ -922,10 +962,10 @@ TEST(CostMap, UnboundKernelRecordsNothing) {
   tree::ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  tree::RcbTree rcb(p, tree::RcbConfig{16});
+  tree::MultiTree rcb(p, tree::MultiTreeConfig{0, tree::RcbConfig{16}});
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
   ASSERT_EQ(cost_map(), nullptr);  // no binding on this thread
-  tree::compute_short_range(rcb, kernel, ax, ay, az);  // must not crash
+  tree::compute_short_range_multi(rcb, kernel, ax, ay, az);  // must not crash
 }
 
 TEST(Reduce, CostMapReduceNamesStragglerRank) {

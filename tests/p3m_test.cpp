@@ -8,7 +8,7 @@
 #include "p3m/chaining_mesh.h"
 #include "tree/direct.h"
 #include "tree/force_matcher.h"
-#include "tree/rcb_tree.h"
+#include "tree/multi_tree.h"
 #include "util/rng.h"
 
 namespace hacc::p3m {
@@ -71,8 +71,8 @@ TEST(P3m, AgreesWithRcbTreeSolver) {
   const auto kernel = default_kernel();
   std::vector<float> ax1(n), ay1(n), az1(n), ax2(n), ay2(n), az2(n);
   compute_short_range_p3m(p1, kernel, ax1, ay1, az1);
-  tree::RcbTree tr(p2, tree::RcbConfig{64});
-  tree::compute_short_range(tr, kernel, ax2, ay2, az2);
+  tree::MultiTree tr(p2, tree::MultiTreeConfig{0, tree::RcbConfig{64}});
+  tree::compute_short_range_multi(tr, kernel, ax2, ay2, az2);
   // p2 was permuted by the build: compare by particle id.
   std::vector<std::size_t> slot(n);
   for (std::size_t i = 0; i < n; ++i) slot[p2.id[i]] = i;

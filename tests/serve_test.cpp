@@ -18,8 +18,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/comm.h"
@@ -390,6 +392,143 @@ TEST(InSituServe, RunStreamsCatalogsAndAnswersQueries) {
   const CacheStats after = store.cache().stats();
   EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
+  fs::remove_all(dir);
+}
+
+/// Typed copy of one variable's bytes from a direct gio::read.
+template <typename T>
+std::vector<T> typed(const std::vector<std::byte>& bytes) {
+  std::vector<T> out(bytes.size() / sizeof(T));
+  std::memcpy(out.data(), bytes.data(), out.size() * sizeof(T));
+  return out;
+}
+
+/// Whole catalog variables read with gio::read, bypassing store and cache.
+std::map<std::string, std::vector<std::byte>> read_direct(
+    const std::string& path,
+    const std::vector<std::pair<std::string, gio::VarType>>& vars) {
+  std::map<std::string, std::vector<std::byte>> out;
+  comm::Machine::run(1, [&](comm::Comm& c) {
+    std::vector<gio::ReadVar> rv;
+    for (const auto& [name, type] : vars)
+      rv.push_back({name, type, &out[name]});
+    EXPECT_TRUE(gio::read(c, path, rv).corrupt.empty()) << path;
+  });
+  return out;
+}
+
+TEST(InSituServe, QueriesMatchDirectReadWhenTheCacheKeepsNothing) {
+  // A cache budget below any one column keeps no block, so every column a
+  // query touches is owned by the query alone and must stay alive for as
+  // long as the query reads it (the ASan pass guards this).
+  const std::string dir = temp_dir("hacc_serve_nocache");
+  const core::SimulationConfig cfg = serve_config(dir);
+  cosmology::Cosmology cosmo;
+  comm::Machine::run(2, [&](comm::Comm& c) {
+    core::Simulation sim(c, cosmo, cfg);
+    sim.initialize();
+    sim.run();
+  });
+  CatalogStore::Config tiny;
+  tiny.cache_bytes = 1;
+  CatalogStore store(dir, tiny);
+  const int step = store.latest_step();
+  using gio::VarType;
+
+  // Halos: the mass-range scan and every point lookup.
+  auto h = read_direct(
+      halos_path(dir, step),
+      {{"halo_id", VarType::kUInt64}, {"count", VarType::kUInt64},
+       {"mass", VarType::kFloat32}, {"cx", VarType::kFloat32},
+       {"cy", VarType::kFloat32}, {"cz", VarType::kFloat32},
+       {"vcx", VarType::kFloat32}, {"vcy", VarType::kFloat32},
+       {"vcz", VarType::kFloat32}});
+  const auto id = typed<std::uint64_t>(h["halo_id"]);
+  const auto count = typed<std::uint64_t>(h["count"]);
+  const auto mass = typed<float>(h["mass"]);
+  const auto cx = typed<float>(h["cx"]), cy = typed<float>(h["cy"]),
+             cz = typed<float>(h["cz"]);
+  const auto vcx = typed<float>(h["vcx"]), vcy = typed<float>(h["vcy"]),
+             vcz = typed<float>(h["vcz"]);
+  std::vector<CatalogStore::HaloRecord> halos(id.size());
+  for (std::size_t i = 0; i < id.size(); ++i)
+    halos[i] = {id[i], count[i], mass[i], {cx[i], cy[i], cz[i]},
+                {vcx[i], vcy[i], vcz[i]}};
+  std::sort(halos.begin(), halos.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  ASSERT_GT(halos.size(), 0u);
+  auto same_halo = [](const CatalogStore::HaloRecord& a,
+                      const CatalogStore::HaloRecord& b) {
+    return a.id == b.id && a.count == b.count && a.mass == b.mass &&
+           a.center == b.center && a.velocity == b.velocity;
+  };
+  const auto scanned = store.halos_in_mass_range(
+      step, 0.0f, std::numeric_limits<float>::max());
+  ASSERT_EQ(scanned.size(), halos.size());
+  for (std::size_t i = 0; i < halos.size(); ++i) {
+    EXPECT_TRUE(same_halo(scanned[i], halos[i])) << "halo " << halos[i].id;
+    const auto hit = store.halo_by_id(step, halos[i].id);
+    ASSERT_TRUE(hit.has_value()) << "halo " << halos[i].id;
+    EXPECT_TRUE(same_halo(*hit, halos[i])) << "halo " << halos[i].id;
+  }
+
+  // Spectrum: every bin, ascending k.
+  auto sp = read_direct(spectrum_path(dir, step),
+                        {{"k", VarType::kFloat32},
+                         {"power", VarType::kFloat32},
+                         {"modes", VarType::kUInt64}});
+  const auto k = typed<float>(sp["k"]);
+  const auto power = typed<float>(sp["power"]);
+  const auto modes = typed<std::uint64_t>(sp["modes"]);
+  std::vector<CatalogStore::SpectrumPoint> bins(k.size());
+  for (std::size_t i = 0; i < k.size(); ++i) bins[i] = {k[i], power[i], modes[i]};
+  std::sort(bins.begin(), bins.end(),
+            [](const auto& a, const auto& b) { return a.k < b.k; });
+  const auto pk = store.spectrum(step);
+  ASSERT_EQ(pk.size(), bins.size());
+  ASSERT_GT(pk.size(), 0u);
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    EXPECT_EQ(pk[i].k, bins[i].k);
+    EXPECT_EQ(pk[i].power, bins[i].power);
+    EXPECT_EQ(pk[i].modes, bins[i].modes);
+  }
+
+  // Region: the full box returns the whole slice.
+  auto sl = read_direct(
+      slice_path(dir, step),
+      {{"x", VarType::kFloat32}, {"y", VarType::kFloat32},
+       {"z", VarType::kFloat32}, {"vx", VarType::kFloat32},
+       {"vy", VarType::kFloat32}, {"vz", VarType::kFloat32},
+       {"id", VarType::kUInt64}});
+  const auto x = typed<float>(sl["x"]), y = typed<float>(sl["y"]),
+             z = typed<float>(sl["z"]), vx = typed<float>(sl["vx"]),
+             vy = typed<float>(sl["vy"]), vz = typed<float>(sl["vz"]);
+  const auto pid = typed<std::uint64_t>(sl["id"]);
+  std::vector<CatalogStore::SliceParticle> slice(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    slice[i] = {x[i], y[i], z[i], vx[i], vy[i], vz[i], pid[i]};
+  const float g = static_cast<float>(cfg.grid);
+  auto region = store.region(step, {0, 0, 0}, {g, g, g});
+  auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
+  std::sort(slice.begin(), slice.end(), by_id);
+  std::sort(region.begin(), region.end(), by_id);
+  ASSERT_EQ(region.size(), slice.size());
+  ASSERT_GT(region.size(), 0u);
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    EXPECT_EQ(region[i].id, slice[i].id);
+    EXPECT_EQ(region[i].x, slice[i].x);
+    EXPECT_EQ(region[i].y, slice[i].y);
+    EXPECT_EQ(region[i].z, slice[i].z);
+    EXPECT_EQ(region[i].vx, slice[i].vx);
+    EXPECT_EQ(region[i].vy, slice[i].vy);
+    EXPECT_EQ(region[i].vz, slice[i].vz);
+  }
+
+  // Nothing was ever retained: every column came through the miss path.
+  const CacheStats st = store.cache().stats();
+  EXPECT_EQ(st.entries, 0u);
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_GT(st.misses, 0u);
   fs::remove_all(dir);
 }
 

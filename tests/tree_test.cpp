@@ -15,6 +15,7 @@
 #include "tree/force_kernel.h"
 #include "tree/interaction_batch.h"
 #include "tree/force_matcher.h"
+#include "tree/multi_tree.h"
 #include "tree/particles.h"
 #include "tree/rcb_tree.h"
 #include "util/rng.h"
@@ -269,7 +270,7 @@ TEST(RcbTree, GatherNeighborsFindsExactlyTheBallPlusLeaf) {
   NeighborList list;
   for (auto leaf_id : tree.leaves()) {
     const RcbNode& leaf = tree.nodes()[leaf_id];
-    tree.gather_neighbors(leaf_id, rcut, list);
+    tree.gather_neighbors_into(leaf.lo, leaf.hi, rcut, list);
     // Everything within rcut of the leaf box must be present...
     std::size_t required = 0;
     for (std::size_t j = 0; j < p.size(); ++j) {
@@ -303,9 +304,9 @@ TEST_P(TreeForceCase, MatchesDirectShortRange) {
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = default_fgrid_poly5();
-  RcbTree tree(p, RcbConfig{leaf_size});
+  MultiTree tree(p, MultiTreeConfig{0, RcbConfig{leaf_size}});
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  const auto stats = compute_short_range(tree, kernel, ax, ay, az);
+  const auto stats = compute_short_range_multi(tree, kernel, ax, ay, az);
   EXPECT_EQ(stats.particles, p.size());
   EXPECT_GT(stats.interactions, 0u);
   std::vector<float> dx(p.size()), dy(p.size()), dz(p.size());
@@ -329,9 +330,9 @@ TEST(TreeForce, NewtonThirdLawMomentumConservation) {
   ShortRangeKernel kernel;
   kernel.softening = 0.1f;
   kernel.fgrid = default_fgrid_poly5();
-  RcbTree tree(p, RcbConfig{32});
+  MultiTree tree(p, MultiTreeConfig{0, RcbConfig{32}});
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  compute_short_range(tree, kernel, ax, ay, az);
+  compute_short_range_multi(tree, kernel, ax, ay, az);
   // Equal masses: sum of accelerations ~ 0 (pairwise antisymmetric kernel).
   double sx = 0, sy = 0, sz = 0, scale = 0;
   for (std::size_t i = 0; i < p.size(); ++i) {
@@ -348,11 +349,11 @@ TEST(TreeForce, NewtonThirdLawMomentumConservation) {
 TEST(TreeForce, MassScaleScalesLinearly) {
   ParticleArray p = random_particles(100, 6.0f, 29);
   ShortRangeKernel kernel;
-  RcbTree tree(p, RcbConfig{16});
+  MultiTree tree(p, MultiTreeConfig{0, RcbConfig{16}});
   std::vector<float> a1(p.size()), a2(p.size()), tmp(p.size()), t2(p.size()),
       t3(p.size());
-  compute_short_range(tree, kernel, a1, tmp, t2, 1.0f);
-  compute_short_range(tree, kernel, a2, t3, tmp, 2.5f);
+  compute_short_range_multi(tree, kernel, a1, tmp, t2, 1.0f);
+  compute_short_range_multi(tree, kernel, a2, t3, tmp, 2.5f);
   for (std::size_t i = 0; i < p.size(); ++i)
     EXPECT_NEAR(a2[i], 2.5f * a1[i], 1e-4f * (std::abs(a1[i]) + 1e-3f));
 }
@@ -363,11 +364,12 @@ TEST(TreeForce, FatterLeavesMoreInteractionsFewerWalkVisits) {
   ParticleArray p1 = random_particles(2000, 16.0f, 31);
   ParticleArray p2 = p1;
   ShortRangeKernel kernel;
-  RcbTree small_leaves(p1, RcbConfig{8});
-  RcbTree fat_leaves(p2, RcbConfig{128});
+  MultiTree small_leaves(p1, MultiTreeConfig{0, RcbConfig{8}});
+  MultiTree fat_leaves(p2, MultiTreeConfig{0, RcbConfig{128}});
   std::vector<float> ax(p1.size()), ay(p1.size()), az(p1.size());
-  const auto s_small = compute_short_range(small_leaves, kernel, ax, ay, az);
-  const auto s_fat = compute_short_range(fat_leaves, kernel, ax, ay, az);
+  const auto s_small =
+      compute_short_range_multi(small_leaves, kernel, ax, ay, az);
+  const auto s_fat = compute_short_range_multi(fat_leaves, kernel, ax, ay, az);
   EXPECT_GT(s_fat.interactions, s_small.interactions);
   EXPECT_LT(s_fat.walk_visits, s_small.walk_visits);
 }
