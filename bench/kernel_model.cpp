@@ -8,6 +8,7 @@
 //   * phase mix: 80% kernel / 10% walk / 5% FFT / 5% other,
 // and, measured here, the phase mix of a real small PPTreePM run.
 #include <cstdio>
+#include <iostream>
 
 #include "comm/comm.h"
 #include "core/simulation.h"
@@ -72,12 +73,13 @@ int main() {
   comm::Machine::run(2, [&](comm::Comm& world) {
     core::Simulation sim(world, cosmo, cfg);
     sim.initialize();
-    sim.run();
+    for (int s = 0; s < cfg.steps; ++s) {
+      sim.step();
+      sim.record_step_ledger();  // collective: per-phase time, reduced
+    }
     if (world.rank() == 0) {
-      for (const auto& row : sim.timers().report()) {
-        std::printf("  %-14s %6.2fs  (%4.1f%%)\n", row.name.c_str(),
-                    row.seconds, 100.0 * row.fraction);
-      }
+      std::fflush(stdout);
+      sim.ledger().print_phase_table(std::cout);
       std::printf("  mean neighbor-list size of final step: %.0f "
                   "(paper: ~500-2500)\n",
                   sim.last_stats().mean_neighbors());

@@ -5,6 +5,7 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <iostream>
 
 #include "comm/comm.h"
 #include "core/simulation.h"
@@ -44,6 +45,7 @@ int main() {
 
     for (int s = 0; s < cfg.steps; ++s) {
       sim.step();
+      sim.record_step_ledger();  // collective: per-phase time, reduced
       const auto& st = sim.last_stats();
       if (world.rank() == 0) {
         std::printf("step %d  z=%5.2f  leaves=%5zu  mean neighbors=%7.1f\n",
@@ -64,10 +66,9 @@ int main() {
       t.print(os);
       std::fputs(os.str().c_str(), stdout);
 
-      std::printf("\nPhase breakdown:\n");
-      for (const auto& row : sim.timers().report())
-        std::printf("  %-14s %6.2fs  (%4.1f%%)\n", row.name.c_str(),
-                    row.seconds, 100.0 * row.fraction);
+      std::printf("\n");
+      std::fflush(stdout);
+      sim.ledger().print_phase_table(std::cout);
     }
   });
   return 0;

@@ -132,9 +132,9 @@ echo "== serve: tsan (cache hammer + threaded query service) =="
 # and the cost map's mutex is taken from inside the parallel region.
 echo "== observatory: metrics endpoint smoke =="
 "$BUILD/tests/serve_test" --gtest_filter='MetricsEndpoint.*'
-echo "== observatory: tsan (metrics + costmap + watchdog + endpoint) =="
+echo "== observatory: tsan (phase scopes + metrics + costmap + watchdog + endpoint) =="
 "$TSAN_BUILD/tests/obs_test" \
-  --gtest_filter='Metrics.*:CostMap.*:Watchdog.*:Reduce.CostMapReduceNamesStragglerRank:SimulationObservatory.*'
+  --gtest_filter='PhaseScope.*:Metrics.*:CostMap.*:Watchdog.*:Reduce.CostMapReduceNamesStragglerRank:SimulationObservatory.*'
 "$TSAN_BUILD/tests/serve_test" --gtest_filter='MetricsEndpoint.*'
 
 # The trace summarizer must stay graceful on the traces a dead run leaves

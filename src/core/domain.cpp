@@ -10,7 +10,6 @@ namespace hacc::core {
 
 namespace {
 
-const NameId kTrcRefresh = intern_name("refresh");
 const NameId kCtrMigrated = obs::counter_id("refresh.migrated");
 const NameId kCtrRefreshed = obs::counter_id("refresh.particles");
 const NameId kGaugeActive = obs::gauge_id("refresh.active");
@@ -136,7 +135,6 @@ std::array<std::size_t, 2> OverloadDomain::census(
 
 RefreshStats OverloadDomain::refresh(comm::Comm& comm,
                                      tree::ParticleArray& particles) const {
-  obs::TraceScope trace(kTrcRefresh);
   const auto& dims = decomp_.grid_dims();
   HACC_CHECK(comm.size() == decomp_.nranks());
 

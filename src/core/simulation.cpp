@@ -18,21 +18,22 @@ using cosmology::Cosmology;
 
 namespace {
 
-// Pre-interned phase ids: scope() on a string re-probes the intern table;
-// these run every (sub)step.
-const NameId kPhaseStep = intern_name(TimerRegistry::kRootPhase);
-const NameId kPhaseInit = intern_name("init");
-const NameId kPhaseCic = intern_name("cic");
-const NameId kPhaseGridExchange = intern_name("grid-exchange");
-const NameId kPhasePoisson = intern_name("poisson");
-const NameId kPhaseLrKick = intern_name("lr-kick");
-const NameId kPhaseTreeBuild = intern_name("tree-build");
-const NameId kPhaseSrKernel = intern_name("sr-kernel");
-const NameId kPhaseStream = intern_name("stream");
-const NameId kPhaseRefresh = intern_name("refresh");
-const NameId kPhaseCheckpoint = intern_name("checkpoint");
-const NameId kPhaseInsitu = intern_name("insitu");
-const NameId kPhaseAudit = intern_name("audit");
+// Pre-interned phases: obs::phase() re-probes the intern table; these run
+// every (sub)step. "step" is the root phase: the ledger reports it as the
+// step wall and every other phase nests inside it.
+const obs::Phase kPhaseStep = obs::phase("step");
+const obs::Phase kPhaseInit = obs::phase("init");
+const obs::Phase kPhaseCic = obs::phase("cic");
+const obs::Phase kPhaseGridExchange = obs::phase("grid-exchange");
+const obs::Phase kPhasePoisson = obs::phase("poisson");
+const obs::Phase kPhaseLrKick = obs::phase("lr-kick");
+const obs::Phase kPhaseTreeBuild = obs::phase("tree-build");
+const obs::Phase kPhaseSrKernel = obs::phase("sr-kernel");
+const obs::Phase kPhaseStream = obs::phase("stream");
+const obs::Phase kPhaseRefresh = obs::phase("refresh");
+const obs::Phase kPhaseCheckpoint = obs::phase("checkpoint");
+const obs::Phase kPhaseInsitu = obs::phase("insitu");
+const obs::Phase kPhaseAudit = obs::phase("audit");
 
 const NameId kCtrInteractions = obs::counter_id("tree.pp_interactions");
 const NameId kCtrWalkVisits = obs::counter_id("tree.walk_visits");
@@ -132,7 +133,7 @@ Simulation::Simulation(comm::Comm& world, const Cosmology& cosmo,
 
 void Simulation::initialize() {
   obs::Binding binding(&tracer_, &counters_);
-  auto scope = timers_.scope(kPhaseInit);
+  obs::PhaseScope scope(kPhaseInit);
   cosmology::IcConfig ic = config_.ic;
   ic.particles_per_dim = config_.particles_per_dim;
   ic.box_mpch = config_.box_mpch;
@@ -151,7 +152,7 @@ void Simulation::initialize() {
 mesh::DistGrid Simulation::density_contrast() {
   mesh::DistGrid rho(decomp_, world_.rank(), grid_ghost_);
   {
-    auto scope = timers_.scope(kPhaseCic);
+    obs::PhaseScope scope(kPhaseCic);
     // Deposit *active* particles only (passives are someone else's mass).
     std::vector<float> xs, ys, zs;
     xs.reserve(particles_.size());
@@ -170,7 +171,7 @@ mesh::DistGrid Simulation::density_contrast() {
     }
   }
   {
-    auto scope = timers_.scope(kPhaseGridExchange);
+    obs::PhaseScope scope(kPhaseGridExchange);
     rho.fold_ghosts(world_);
   }
   // Grid-resident fault injection fires here — after the fold, before the
@@ -209,15 +210,15 @@ void Simulation::long_range_kick(double a0, double a1) {
       mesh::DistGrid(decomp_, world_.rank(), grid_ghost_),
       mesh::DistGrid(decomp_, world_.rank(), grid_ghost_)};
   {
-    auto scope = timers_.scope(kPhasePoisson);
+    obs::PhaseScope scope(kPhasePoisson);
     poisson_->solve(world_, delta, force);
   }
   {
-    auto scope = timers_.scope(kPhaseGridExchange);
+    obs::PhaseScope scope(kPhaseGridExchange);
     for (auto& f : force) f.fill_ghosts(world_);
   }
   // Kick every local particle (active and passive).
-  auto scope = timers_.scope(kPhaseLrKick);
+  obs::PhaseScope scope(kPhaseLrKick);
   const double factor = 1.5 * cosmo_.omega_m * cosmo_.kick_factor(a0, a1);
   std::vector<float> gx(particles_.size()), gy(particles_.size()),
       gz(particles_.size());
@@ -247,13 +248,13 @@ void Simulation::apply_short_kick(double coeff) {
     // One RCB forest per rank (Sec. III, VI); zero splits is one tree.
     std::unique_ptr<tree::MultiTree> forest;
     {
-      auto scope = timers_.scope(kPhaseTreeBuild);
+      obs::PhaseScope scope(kPhaseTreeBuild);
       forest = std::make_unique<tree::MultiTree>(
           particles_,
           tree::MultiTreeConfig{config_.tree_splits,
                                 tree::RcbConfig{config_.leaf_size}});
     }
-    auto scope = timers_.scope(kPhaseSrKernel);
+    obs::PhaseScope scope(kPhaseSrKernel);
     stats_ = tree::compute_short_range_multi(*forest, kernel_, sr_ax_, sr_ay_,
                                              sr_az_, mass_scale_,
                                              kernel_variant_, &sr_workspace_);
@@ -262,7 +263,7 @@ void Simulation::apply_short_kick(double coeff) {
       // leaves through the scalar reference and compare against the
       // accumulators before the kick consumes them.
       audit_.dup_pending = false;
-      auto audit_scope = timers_.scope(kPhaseAudit);
+      obs::PhaseScope audit_scope(kPhaseAudit);
       const DuplicateExecutionResult dup = duplicate_execution_check(
           *forest, kernel_, sr_ax_, sr_ay_, sr_az_, mass_scale_,
           config_.audit, static_cast<std::uint64_t>(steps_taken_ + 1));
@@ -270,7 +271,7 @@ void Simulation::apply_short_kick(double coeff) {
       audit_.dup_samples += static_cast<double>(dup.checked);
     }
   } else {
-    auto scope = timers_.scope(kPhaseSrKernel);
+    obs::PhaseScope scope(kPhaseSrKernel);
     stats_ = p3m::compute_short_range_p3m(particles_, kernel_, sr_ax_, sr_ay_,
                                           sr_az_, mass_scale_, {},
                                           kernel_variant_);
@@ -286,7 +287,7 @@ void Simulation::apply_short_kick(double coeff) {
 }
 
 void Simulation::drift(double factor) {
-  auto scope = timers_.scope(kPhaseStream);
+  obs::PhaseScope scope(kPhaseStream);
   const auto f = static_cast<float>(factor);
   for (std::size_t i = 0; i < particles_.size(); ++i) {
     particles_.x[i] += f * particles_.vx[i];
@@ -319,7 +320,7 @@ void Simulation::step() {
   const std::uint64_t wall_t0 = util::now_ns();
   {
     obs::Binding binding(&tracer_, &counters_, cost);
-    auto step_scope = timers_.scope(kPhaseStep);
+    obs::PhaseScope step_scope(kPhaseStep);
     // SDC window: fire any due resident-memory faults, then verify the
     // state is bit-identical to the end of the previous step.
     audit_begin_step();
@@ -334,7 +335,7 @@ void Simulation::step() {
     short_range_subcycles(a0, a1);  // (M_sr(t/n_c))^{n_c}
     long_range_kick(am, a1);        // M_lr(t/2)
     {
-      auto scope = timers_.scope(kPhaseRefresh);
+      obs::PhaseScope scope(kPhaseRefresh);
       domain_->refresh(world_, particles_);
     }
     a_ = a1;
@@ -347,8 +348,7 @@ void Simulation::step() {
     // Open the next invariance window over the post-refresh state.
     audit_end_step();
   }
-  // Outside the step scope so the published "step" total includes the step
-  // that just ended; both sinks are atomics, safe against a live scrape.
+  // Both sinks are atomics, safe against a live scrape.
   histograms_.record(kHistStepWall, util::now_ns() - wall_t0);
   publish_metric_gauges();
 }
@@ -381,7 +381,7 @@ void Simulation::audit_begin_step() {
   apply_particle_memory_faults();
   const AuditConfig& audit = config_.audit;
   if (audit.cadence > 0 && audit.checksum && audit_.stash_valid) {
-    auto scope = timers_.scope(kPhaseAudit);
+    obs::PhaseScope scope(kPhaseAudit);
     // The inter-step window is idle: nothing legitimately mutates particle
     // state between the end-of-step stash and here, so any difference is
     // resident-memory corruption.
@@ -398,7 +398,7 @@ void Simulation::audit_begin_step() {
 void Simulation::audit_end_step() {
   const AuditConfig& audit = config_.audit;
   if (audit.cadence > 0 && audit.checksum) {
-    auto scope = timers_.scope(kPhaseAudit);
+    obs::PhaseScope scope(kPhaseAudit);
     audit_.stash = particle_checksum(particles_, config_.canonical_order);
     audit_.stash_valid = true;
   }
@@ -410,24 +410,6 @@ void Simulation::reset_audit_window() {
 }
 
 void Simulation::publish_metric_gauges() {
-  // Phase totals as counters: a /metrics scrape must never read the
-  // race-unsafe TimerRegistry, so each step republishes the totals into
-  // atomic counter slots under phase.<name>.ns (the exporter folds them
-  // into one hacc_phase_ns_total family labeled by phase).
-  constexpr NameId kUnmapped = ~NameId{0};
-  auto publish = [&](NameId phase, double seconds, const char* prefix) {
-    if (phase_metric_ids_.size() <= phase)
-      phase_metric_ids_.resize(static_cast<std::size_t>(phase) + 1, kUnmapped);
-    if (phase_metric_ids_[phase] == kUnmapped)
-      phase_metric_ids_[phase] = obs::counter_id(
-          std::string("phase.") + prefix + std::string(name_of(phase)) + ".ns");
-    counters_.set(phase_metric_ids_[phase],
-                  static_cast<std::uint64_t>(seconds * 1e9));
-  };
-  for (const auto& t : timers_.totals()) publish(t.id, t.seconds, "");
-  for (const auto& t : poisson_->timers().totals())
-    publish(t.id, t.seconds, "poisson.");
-
   if (config_.cost_attribution) {
     const obs::CostMap::Summary s = cost_map_.summarize();
     counters_.set(kGaugeCostKernelNs, s.kernel_ns);
@@ -443,7 +425,7 @@ void Simulation::publish_metric_gauges() {
 
 serve::InSituReport Simulation::run_insitu() {
   obs::Binding binding(&tracer_, &counters_);
-  auto scope = timers_.scope(kPhaseInsitu);
+  obs::PhaseScope scope(kPhaseInsitu);
   // Products see actives only — passives are replicas of someone else's
   // mass and would double-count.
   tree::ParticleArray actives;
@@ -475,9 +457,8 @@ void Simulation::run() {
     // every completed step's record on disk.
     if (world_.rank() == 0 && !ledger_.streaming())
       ledger_.stream_to(config_.ledger_path);
-    // Reset the delta baselines so constructor/initialize() phases and
-    // counters do not leak into the first step's record.
-    (void)ledger_phase_deltas();
+    // Reset the delta baseline so initialize()'s phases and counters do not
+    // leak into the first step's record.
     (void)ledger_counter_samples();
   }
   for (int s = 0; s < config_.steps; ++s) {
@@ -488,33 +469,10 @@ void Simulation::run() {
   if (trace_on) obs::write_merged_trace(world_, tracer_, config_.trace_path);
 }
 
-std::vector<std::pair<NameId, double>> Simulation::ledger_phase_deltas() {
-  std::vector<std::pair<NameId, double>> out;
-  auto emit = [&](NameId id, double total_now) {
-    if (prev_phase_seconds_.size() <= id)
-      prev_phase_seconds_.resize(static_cast<std::size_t>(id) + 1, 0.0);
-    const double delta = total_now - prev_phase_seconds_[id];
-    prev_phase_seconds_[id] = total_now;
-    if (delta > 0) out.emplace_back(id, delta);
-  };
-  for (const auto& t : timers_.totals()) emit(t.id, t.seconds);
-  // The Poisson solver's internal registry uses bare names ("remap", "fft",
-  // "kernel"); re-key them under a "poisson." prefix so the ledger keeps
-  // solver-internal and driver phases apart.
-  for (const auto& t : poisson_->timers().totals()) {
-    const std::string prefixed = "poisson." + std::string(name_of(t.id));
-    emit(intern_name(prefixed), t.seconds);
-  }
-  return out;
-}
-
 std::vector<std::pair<NameId, double>> Simulation::ledger_counter_samples() {
   counters_.set(kGaugePeakRss, obs::peak_rss_bytes());
   std::vector<std::pair<NameId, double>> out;
   for (const auto& s : counters_.snapshot()) {
-    // phase.<x>.ns slots are republished timer totals for the live scrape;
-    // the ledger already carries the same data in its phases map.
-    if (name_of(s.id).rfind("phase.", 0) == 0) continue;
     if (obs::kind_of(s.id) == obs::CounterKind::kGauge) {
       out.emplace_back(s.id, static_cast<double>(s.value));
       continue;
@@ -531,12 +489,9 @@ std::vector<std::pair<NameId, double>> Simulation::ledger_counter_samples() {
 void Simulation::record_step_ledger() {
   // Deliberately *not* bound to the counters: the ledger's own reductions
   // would otherwise pollute the next step's comm deltas.
-  const auto phase_samples = ledger_phase_deltas();
   const auto counter_samples = ledger_counter_samples();
   const std::array<double, 3> momentum = total_momentum();
   if (!momentum0_) momentum0_ = momentum;
-  const auto phases = obs::reduce_samples(
-      world_, std::span<const std::pair<NameId, double>>(phase_samples));
   const auto counters = obs::reduce_samples(
       world_, std::span<const std::pair<NameId, double>>(counter_samples));
   // Cost attribution is reduced collectively too (even though only the
@@ -557,14 +512,18 @@ void Simulation::record_step_ledger() {
     drift = std::max(drift, std::abs(momentum[static_cast<std::size_t>(d)] -
                                      (*momentum0_)[static_cast<std::size_t>(d)]));
   rec.momentum_drift = drift;
-  for (const auto& r : phases) {
-    const obs::PhaseStat ps{r.min, r.mean, r.max, r.imbalance()};
-    if (r.name == kPhaseStep)
-      rec.wall = ps;
-    else
-      rec.phases.emplace(std::string(name_of(r.name)), ps);
-  }
   for (const auto& r : counters) {
+    // phase.<x>.ns deltas become the phases map (seconds, keyed <x>); the
+    // root phase "step" is the step wall.
+    if (const auto phase = obs::phase_of(name_of(r.name))) {
+      const obs::PhaseStat ps{r.min * 1e-9, r.mean * 1e-9, r.max * 1e-9,
+                              r.imbalance()};
+      if (r.name == kPhaseStep.ns)
+        rec.wall = ps;
+      else
+        rec.phases.emplace(std::string(*phase), ps);
+      continue;
+    }
     const obs::PhaseStat ps{r.min, r.mean, r.max, r.imbalance()};
     if (r.name == kGaugePeakRss)
       rec.peak_rss_bytes = static_cast<std::uint64_t>(r.max);
@@ -630,7 +589,7 @@ tree::ParticleArray Simulation::gather_active() {
 
 void Simulation::write_checkpoint(const std::string& path) {
   obs::Binding binding(&tracer_, &counters_);
-  auto scope = timers_.scope(kPhaseCheckpoint);
+  obs::PhaseScope scope(kPhaseCheckpoint);
   // Strip passives: they are someone else's actives and get rebuilt.
   tree::ParticleArray actives;
   for (std::size_t i = 0; i < particles_.size(); ++i) {
@@ -649,7 +608,7 @@ void Simulation::write_checkpoint(const std::string& path) {
 
 void Simulation::read_checkpoint(const std::string& path) {
   obs::Binding binding(&tracer_, &counters_);
-  auto scope = timers_.scope(kPhaseCheckpoint);
+  obs::PhaseScope scope(kPhaseCheckpoint);
   const gio::ReadReport report =
       gio::read_particles(world_, path, particles_);
   if (!report.corrupt.empty()) {

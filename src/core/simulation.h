@@ -176,17 +176,14 @@ class Simulation {
   /// may invoke it directly for an on-demand catalog.
   serve::InSituReport run_insitu();
 
-  /// Per-phase wall-clock accumulators ("kernel", "walk+build", "fft",
-  /// "cic", "refresh", ...).
-  const TimerRegistry& timers() const noexcept { return timers_; }
-  TimerRegistry& mutable_timers() noexcept { return timers_; }
-
   /// Interaction statistics of the last short-range evaluation.
   const tree::InteractionStats& last_stats() const noexcept { return stats_; }
 
   /// This rank's event tracer / counter registry. step() binds both to the
   /// calling thread, so all instrumented layers (comm, fft, tree, gio)
-  /// record here while the simulation runs.
+  /// record here while the simulation runs. Per-phase time lives in the
+  /// counters as phase.<x>.ns ("step", "cic", "sr-kernel", "poisson.fft",
+  /// ...), e.g. counters().value(obs::phase("cic").ns).
   obs::Tracer& tracer() noexcept { return tracer_; }
   obs::Counters& counters() noexcept { return counters_; }
   /// Per-leaf kernel cost of the latest step (cost_attribution on).
@@ -317,15 +314,11 @@ class Simulation {
            step % config_.audit.cadence == 0;
   }
 
-  /// Per-phase seconds since the previous call (sim + "poisson."-prefixed
-  /// solver phases); advances the baseline.
-  std::vector<std::pair<NameId, double>> ledger_phase_deltas();
-  /// Counter deltas (gauges: absolute values) since the previous call;
-  /// advances the baseline.
+  /// Counter deltas (gauges: absolute values) since the previous call,
+  /// phase.<x>.ns slots included; advances the baseline.
   std::vector<std::pair<NameId, double>> ledger_counter_samples();
-  /// Publish per-phase timer totals (as phase.<name>.ns counters) and cost
-  /// summary gauges into counters_, so a live /metrics scrape sees them
-  /// without touching the race-unsafe TimerRegistry.
+  /// Publish the cost-map summary gauges into counters_, so a live /metrics
+  /// scrape sees them.
   void publish_metric_gauges();
 
   comm::Comm world_;
@@ -340,7 +333,6 @@ class Simulation {
   float mass_scale_ = 1.0f;
   double a_ = 0.0;
   int steps_taken_ = 0;
-  TimerRegistry timers_;
   tree::InteractionStats stats_;
   // Scratch short-range force accumulators.
   std::vector<float> sr_ax_, sr_ay_, sr_az_;
@@ -357,9 +349,7 @@ class Simulation {
   obs::HistogramSet histograms_;
   obs::Watchdog watchdog_;
   std::optional<std::array<double, 3>> momentum0_;
-  std::vector<double> prev_phase_seconds_;     // indexed by NameId
   std::vector<std::uint64_t> prev_counters_;   // indexed by NameId
-  std::vector<NameId> phase_metric_ids_;       // phase id -> phase.<x>.ns id
   // ---- SDC audit state ----
   // Local findings accumulate here between audited gates; health_check()
   // folds them into its allreduce and clears them once a gate on the audit

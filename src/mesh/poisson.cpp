@@ -2,18 +2,18 @@
 
 #include <vector>
 
-#include "util/names.h"
+#include "obs/obs.h"
 
 namespace hacc::mesh {
 
 using fft::Complex;
 
 namespace {
-// Pre-interned phase names: solve() is called every long-range step, so the
-// timer scopes must not re-intern (hash + lock) per call.
-const NameId kPhaseRemap = intern_name("remap");
-const NameId kPhaseFft = intern_name("fft");
-const NameId kPhaseKernel = intern_name("kernel");
+// Pre-interned phases: solve() is called every long-range step, so the
+// phase scopes must not re-intern (hash + lock) per call.
+const obs::Phase kPhaseRemap = obs::phase("poisson.remap");
+const obs::Phase kPhaseFft = obs::phase("poisson.fft");
+const obs::Phase kPhaseKernel = obs::phase("poisson.kernel");
 }  // namespace
 
 PoissonSolver::PoissonSolver(comm::Comm& world, const BlockDecomp3D& decomp,
@@ -45,7 +45,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   // Pack the interior (strip ghosts) and remap to the z-pencil layout. The
   // pencil field stays real all the way into the FFT (r2c path).
   {
-    auto scope = timers_.scope(kPhaseRemap);
+    obs::PhaseScope scope(kPhaseRemap);
     const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
     const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
     const auto ez = static_cast<std::ptrdiff_t>(box.z.extent());
@@ -64,7 +64,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   const fft::Box3D sb =
       config_.use_r2c ? fft_->spectral_box_r2c() : fft_->spectral_box();
   {
-    auto scope = timers_.scope(kPhaseFft);
+    obs::PhaseScope scope(kPhaseFft);
     if (config_.use_r2c) {
       fft_->forward_r2c(std::span<const double>(interior_), spectrum_);
     } else {
@@ -77,7 +77,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
 
   // Compose filter x Green's function once.
   {
-    auto scope = timers_.scope(kPhaseKernel);
+    obs::PhaseScope scope(kPhaseKernel);
     std::size_t idx = 0;
     for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
       const double kx = wavenumber(mx, dims[0]);
@@ -112,7 +112,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   // Inverse-transform `component_` into `real_out_` (r2c) or via the
   // complex inverse plus real-part extraction (c2c reference).
   auto inverse_to_real = [&]() {
-    auto scope = timers_.scope(kPhaseFft);
+    obs::PhaseScope scope(kPhaseFft);
     if (config_.use_r2c) {
       fft_->inverse_c2r(component_, real_out_);
     } else {
@@ -125,7 +125,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
 
   for (int axis = 0; axis < 3; ++axis) {
     {
-      auto scope = timers_.scope(kPhaseKernel);
+      obs::PhaseScope scope(kPhaseKernel);
       component_.resize(spectrum_.size());
       std::size_t idx = 0;
       for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
@@ -145,7 +145,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
     }
     inverse_to_real();
     {
-      auto scope = timers_.scope(kPhaseRemap);
+      obs::PhaseScope scope(kPhaseRemap);
       store_to_grid(remap_->backward(world, real_out_),
                     forces[static_cast<std::size_t>(axis)]);
     }
@@ -154,7 +154,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   if (phi != nullptr) {
     component_ = spectrum_;
     inverse_to_real();
-    auto scope = timers_.scope(kPhaseRemap);
+    obs::PhaseScope scope(kPhaseRemap);
     store_to_grid(remap_->backward(world, real_out_), *phi);
   }
 }

@@ -13,6 +13,10 @@
 //      pencil FFT, remap back to blocks -> force component grid,
 //   5. optionally one more inverse FFT for the potential itself.
 //
+// Each stage runs under an obs::PhaseScope named poisson.remap, poisson.fft
+// or poisson.kernel, so a bound caller (the Simulation) sees the solver's
+// breakdown in its phase counters, ledger and trace.
+//
 // Force convention: the returned grids hold f_i = -d(phi)/dx_i, the
 // gravitational acceleration per unit (4 pi G rho_bar a^2 ...) prefactor;
 // physical prefactors are folded into the time-stepper's kick factors.
@@ -27,7 +31,6 @@
 #include "mesh/grid.h"
 #include "mesh/kernels.h"
 #include "mesh/remap.h"
-#include "util/timer.h"
 
 namespace hacc::mesh {
 
@@ -50,15 +53,11 @@ class PoissonSolver {
   void solve(comm::Comm& world, const DistGrid& delta,
              std::array<DistGrid, 3>& forces, DistGrid* phi = nullptr);
 
-  /// Phase timings ("fft", "kernel", "remap") accumulated across solves.
-  const TimerRegistry& timers() const noexcept { return timers_; }
-
  private:
   BlockDecomp3D decomp_;
   SpectralConfig config_;
   std::unique_ptr<fft::PencilFft3D> fft_;
   std::unique_ptr<Redistributor> remap_;
-  TimerRegistry timers_;
   // Persistent solve workspace: reused across solves so the spectral path
   // performs no steady-state allocations beyond the remap exchanges.
   std::vector<double> interior_, real_out_;

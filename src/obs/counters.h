@@ -9,6 +9,8 @@
 // fetch_adds with no allocation ever.
 //
 // Taxonomy in use (see DESIGN.md §observability for the full table):
+//   phase.<x>.ns — per-phase nanoseconds, added by obs::PhaseScope
+//     (e.g. phase.sr-kernel.ns, phase.poisson.fft.ns)
 //   comm.<op>.bytes_sent / msgs_sent / bytes_recv / msgs_recv / calls
 //   fft.transpose.bytes, fft.transforms
 //   tree.pp_interactions, tree.walk_visits

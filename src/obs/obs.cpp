@@ -1,5 +1,7 @@
 #include "obs/obs.h"
 
+#include <string>
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -10,11 +12,6 @@ namespace {
 thread_local Tracer* g_tracer = nullptr;
 thread_local Counters* g_counters = nullptr;
 thread_local CostMap* g_cost = nullptr;
-
-void hook_complete(void* ctx, NameId name, std::uint64_t t0_ns,
-                   std::uint64_t dur_ns) {
-  static_cast<Tracer*>(ctx)->complete(name, t0_ns, dur_ns);
-}
 }  // namespace
 
 Tracer* tracer() noexcept { return g_tracer; }
@@ -28,20 +25,28 @@ Binding::Binding(Tracer* tracer, Counters* counters, CostMap* cost_map) noexcept
   g_tracer = tracer;
   g_counters = counters;
   g_cost = cost_map;
-  if (tracer != nullptr) {
-    hook_.complete = &hook_complete;
-    hook_.ctx = tracer;
-    prev_hook_ = util::set_trace_hook(&hook_);
-  } else {
-    prev_hook_ = util::set_trace_hook(nullptr);
-  }
 }
 
 Binding::~Binding() {
-  util::set_trace_hook(prev_hook_);
   g_tracer = prev_tracer_;
   g_counters = prev_counters_;
   g_cost = prev_cost_;
+}
+
+Phase phase(std::string_view name) {
+  std::string ns = "phase.";
+  ns.append(name).append(".ns");
+  return Phase{intern_name(name), counter_id(ns)};
+}
+
+std::optional<std::string_view> phase_of(std::string_view counter_name) {
+  constexpr std::string_view kPrefix = "phase.";
+  constexpr std::string_view kSuffix = ".ns";
+  if (counter_name.size() <= kPrefix.size() + kSuffix.size() ||
+      !counter_name.starts_with(kPrefix) || !counter_name.ends_with(kSuffix))
+    return std::nullopt;
+  return counter_name.substr(
+      kPrefix.size(), counter_name.size() - kPrefix.size() - kSuffix.size());
 }
 
 std::uint64_t peak_rss_bytes() {

@@ -9,9 +9,16 @@
 // branch-cheap — when no Binding is live. This keeps the comm and solver
 // layers free of any plumbing through constructors, and makes every
 // library usable untraced (tests, benches) at zero cost.
+//
+// Phase time has one representation: a PhaseScope adds its nanoseconds to
+// the bound counters' phase.<x>.ns slot and emits the same interval as the
+// trace span <x>. The ledger differences those slots per step and /metrics
+// exports them, so trace, ledger and scrape agree on every phase.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -27,8 +34,7 @@ Counters* counters() noexcept;
 CostMap* cost_map() noexcept;
 
 /// RAII: binds `tracer`/`counters`/`cost_map` (any may be null) to the
-/// calling thread and installs the util::TraceHook so TimerRegistry scopes
-/// feed the tracer; restores the previous binding on destruction. Bindings
+/// calling thread; restores the previous binding on destruction. Bindings
 /// nest. Note the binding is per-thread: OpenMP workers spawned inside a
 /// bound region do NOT inherit it — kernels that attribute cost capture
 /// obs::cost_map() on the rank thread before entering the parallel region.
@@ -44,8 +50,6 @@ class Binding {
   Tracer* prev_tracer_;
   Counters* prev_counters_;
   CostMap* prev_cost_;
-  const util::TraceHook* prev_hook_;
-  util::TraceHook hook_{};
 };
 
 /// Trace-only RAII span through the thread-bound tracer; a no-op (and
@@ -68,6 +72,46 @@ class TraceScope {
  private:
   Tracer* t_;
   NameId name_;
+  std::uint64_t t0_ns_;
+};
+
+/// A named phase: the span name `<x>` and its counter slot `phase.<x>.ns`.
+struct Phase {
+  NameId span;
+  NameId ns;
+};
+
+/// Intern phase `name` (both ids); idempotent. Hot call sites cache the
+/// result in a static, as with counter_id().
+Phase phase(std::string_view name);
+/// The phase <x> of a counter named phase.<x>.ns, or nullopt for any other
+/// counter name.
+std::optional<std::string_view> phase_of(std::string_view counter_name);
+
+/// RAII phase timer: on close, adds the elapsed nanoseconds to the bound
+/// counters' phase.<x>.ns slot (a relaxed atomic add) and, when the bound
+/// tracer is enabled, records the same interval as span <x>. The sinks are
+/// captured at open. Allocation-free; a pair of clock reads when unbound.
+class PhaseScope {
+ public:
+  explicit PhaseScope(Phase phase) noexcept
+      : phase_(phase),
+        counters_(counters()),
+        tracer_(tracer()),
+        t0_ns_(util::now_ns()) {}
+  ~PhaseScope() {
+    const std::uint64_t dur_ns = util::now_ns() - t0_ns_;
+    if (counters_ != nullptr) counters_->add(phase_.ns, dur_ns);
+    if (tracer_ != nullptr && tracer_->enabled())
+      tracer_->complete(phase_.span, t0_ns_, dur_ns);
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  Phase phase_;
+  Counters* counters_;
+  Tracer* tracer_;
   std::uint64_t t0_ns_;
 };
 

@@ -1,27 +1,12 @@
-// Hierarchical timing.
+// Wall-clock stopwatch for drivers and benches.
 //
-// HACC's performance story is told in time-per-substep-per-particle and in
-// the per-phase breakdown (80% force kernel / 10% tree walk / 5% FFT / 5%
-// rest at the 16/4 operating point, paper Sec. III). TimerRegistry
-// accumulates named phases so the driver and benches can report exactly
-// those breakdowns.
-//
-// Phase names are interned (util/names.h): a Scope carries a 4-byte NameId,
-// not a std::string, so opening/closing scopes at sub-cycle frequency never
-// allocates. Hot call sites cache the id in a static; string overloads
-// intern on the fly (a map probe after the first sighting). Every closing
-// Scope also reports through the thread's util::TraceHook when one is
-// installed, which is how the obs tracer sees TimerRegistry phases without
-// any extra instrumentation.
+// Per-phase accounting inside the simulation is obs::PhaseScope (obs/obs.h),
+// which feeds the phase counters, the ledger and the trace from one clock
+// read; Timer is the plain stopwatch for code that just wants elapsed
+// seconds.
 #pragma once
 
 #include <chrono>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "util/names.h"
-#include "util/telemetry.h"
 
 namespace hacc {
 
@@ -38,92 +23,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates (count, total seconds) per named phase.
-///
-/// Not thread-safe: each rank (and the Poisson solver) owns its own
-/// registry; cross-rank aggregation is obs::reduce_timers.
-class TimerRegistry {
- public:
-  /// The conventional root phase: when a phase with this name has been
-  /// recorded, report() computes fraction-of-wall against it (see below).
-  static constexpr std::string_view kRootPhase = "step";
-
-  /// RAII scope: accumulates into the phase on destruction and reports the
-  /// span through the thread's TraceHook (if any). Allocation-free.
-  class Scope {
-   public:
-    Scope(TimerRegistry& reg, NameId id)
-        : reg_(&reg), id_(id), t0_ns_(util::now_ns()) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() {
-      const std::uint64_t t1 = util::now_ns();
-      reg_->add(id_, static_cast<double>(t1 - t0_ns_) * 1e-9);
-      if (const util::TraceHook* h = util::trace_hook())
-        h->complete(h->ctx, id_, t0_ns_, t1 - t0_ns_);
-    }
-
-   private:
-    TimerRegistry* reg_;
-    NameId id_;
-    std::uint64_t t0_ns_;
-  };
-
-  void add(NameId id, double seconds);
-  void add(std::string_view name, double seconds) {
-    add(intern_name(name), seconds);
-  }
-
-  Scope scope(NameId id) { return Scope(*this, id); }
-  Scope scope(std::string_view name) { return Scope(*this, intern_name(name)); }
-
-  double total(NameId id) const;
-  double total(std::string_view name) const { return total(intern_name(name)); }
-  std::size_t count(NameId id) const;
-  std::size_t count(std::string_view name) const {
-    return count(intern_name(name));
-  }
-
-  /// Sum over all phases (the root phase included — prefer total(kRootPhase)
-  /// as "wall time" when a root has been recorded).
-  double grand_total() const;
-
-  /// (name, seconds, fraction) rows sorted by descending time.
-  ///
-  /// Fraction semantics: phases nest (e.g. "cic" runs inside "step"), so
-  /// fraction-of-sum double-counts nested time. When a root phase named
-  /// kRootPhase ("step") has been recorded, fractions are computed against
-  /// its wall time — the root row reads 1.0 and direct children sum to
-  /// <= 1 (up to untimed gaps). Without a root, fractions fall back to
-  /// fraction-of-grand-total (the legacy behavior for flat registries).
-  struct Row {
-    std::string name;
-    std::size_t count;
-    double seconds;
-    double fraction;
-  };
-  std::vector<Row> report() const;
-
-  /// Every phase with a nonzero count, unsorted (for snapshot/delta logic).
-  struct Total {
-    NameId id;
-    std::size_t count;
-    double seconds;
-  };
-  std::vector<Total> totals() const;
-
-  void clear();
-
- private:
-  struct Entry {
-    std::size_t count = 0;
-    double seconds = 0;
-  };
-  // Indexed by NameId (dense, process-global); grows on first sighting of
-  // an id, after which add() is a bounds check and two stores.
-  std::vector<Entry> entries_;
 };
 
 }  // namespace hacc
