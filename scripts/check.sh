@@ -157,18 +157,19 @@ fi
 # conservation) and the in-place rollback ladder. ASan runs the whole suite
 # — the memory-fault hooks literally flip bits in live arrays, so any
 # indexing slip in the injection or repair path is a guaranteed ASan find.
-# TSan covers the unit surface plus one end-to-end rollback: the audits
-# accumulate across OpenMP force workers and fold into the health gate's
-# allreduce from every rank thread.
+# TSan covers the unit surface plus one end-to-end rollback and one
+# escalation to relaunch: the audits accumulate across OpenMP force workers
+# and fold into the health gate's allreduce from every rank thread, and the
+# rollback candidate is picked on rank 0 and broadcast to the others.
 echo "== sdc: build (asan + tsan audit_test) =="
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target audit_test
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target audit_test
 
 echo "== sdc: asan (full audit suite) =="
 "$ASAN_BUILD/tests/audit_test"
-echo "== sdc: tsan (audit units + one in-place rollback campaign) =="
+echo "== sdc: tsan (audit units + in-place rollback + escalation) =="
 "$TSAN_BUILD/tests/audit_test" \
-  --gtest_filter='ParticleChecksum.*:MemoryFaults.*:AuditCost.*:SdcRollback.ParticleFlipDetectedAndRolledBackInPlaceBitForBit'
+  --gtest_filter='ParticleChecksum.*:MemoryFaults.*:AuditCost.*:SdcRollback.ParticleFlipDetectedAndRolledBackInPlaceBitForBit:SdcRollback.EscalatesToRelaunchWhenNothingIsRestorable'
 
 # Campaign orchestrator: the multi-run scheduler under both sanitizers. The
 # orchestrator-kill/replay test exercises journal append/fsync/reseal across

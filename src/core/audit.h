@@ -52,10 +52,6 @@ struct AuditConfig {
   /// per-step); the cadence controls duplicate execution and when the
   /// Supervisor *acts* on accumulated findings.
   int cadence = 1;
-  bool checksum = true;        ///< payload-invariance FNV-1a window
-  bool mass_conservation = true;
-  bool duplicate_execution = true;
-  bool energy_tracker = true;
   /// Leaves re-executed through the scalar kernel per audited step.
   int sample_leaves = 2;
   /// Relative tolerance on |grid sum - active count| / active count. CIC
@@ -87,7 +83,7 @@ struct AuditConfig {
 /// the array's arrival/removal permutation and comparable across the
 /// overload exchanges a refresh performs. `assume_id_sorted` skips the
 /// O(n log n) ordering pass when the array is already in canonical order
-/// (SimulationConfig::canonical_order keeps it so at every refresh).
+/// (OverloadDomain::refresh leaves it so).
 std::uint64_t particle_checksum(const tree::ParticleArray& particles,
                                 bool assume_id_sorted = false);
 

@@ -270,7 +270,7 @@ RefreshStats OverloadDomain::refresh(comm::Comm& comm,
   // Canonical order now covers the whole array (actives and passives were
   // delivered together), so every float summation order until the next
   // refresh — and across restarts — is independent of arrival history.
-  if (canonical_order_) particles.sort_by_id();
+  particles.sort_by_id();
 
   RefreshStats stats;
   const auto counts2 = census(particles);

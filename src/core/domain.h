@@ -60,7 +60,11 @@ class OverloadDomain {
   ///     directly into one flat send buffer,
   ///  3. perform ONE sparse neighbor_alltoallv over the refresh stencil
   ///     (migration + replication fused: a single exchange per refresh,
-  ///     cost scaling with the neighbor count, not the world size).
+  ///     cost scaling with the neighbor count, not the world size),
+  ///  4. sort the whole array into canonical (id) order, so the particle
+  ///     ordering — and every float summation order downstream — does not
+  ///     depend on arrival/removal history: a run restored from a
+  ///     checkpoint evolves bit-for-bit like the uninterrupted one.
   /// Migrant replicas are computed by the *sender* on the new owner's
   /// behalf — the decomposition is globally known — which is what makes the
   /// historical deliver-then-replicate second round unnecessary.
@@ -81,15 +85,6 @@ class OverloadDomain {
 
   /// Count (active, passive) without modifying anything.
   std::array<std::size_t, 2> census(const tree::ParticleArray& p) const;
-
-  /// When set, refresh() re-sorts the actives into canonical (id) order
-  /// after migrant delivery, before replicas are rebuilt. This decouples
-  /// the particle ordering — and with it every float summation order
-  /// downstream — from the arrival/removal history, so a run restored from
-  /// a checkpoint (which permutes particles through the elastic read and
-  /// redistribution) evolves bit-for-bit like the uninterrupted one.
-  void set_canonical_order(bool on) noexcept { canonical_order_ = on; }
-  bool canonical_order() const noexcept { return canonical_order_; }
 
  private:
   /// Wire format for the fused particle exchange (trivially copyable).
@@ -117,7 +112,6 @@ class OverloadDomain {
   int rank_;
   fft::Box3D box_;
   double overload_;
-  bool canonical_order_ = false;
   std::vector<int> stencil_;            ///< sparse exchange peers (sorted)
   std::vector<int> slot_of_;            ///< rank -> stencil slot, -1 absent
   std::array<Image, 26> my_images_{};   ///< this rank's images, precomputed

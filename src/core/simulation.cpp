@@ -93,7 +93,6 @@ Simulation::Simulation(comm::Comm& world, const Cosmology& cosmo,
   watchdog_ = obs::Watchdog(config.watchdog_config);
   domain_ = std::make_unique<OverloadDomain>(decomp_, world.rank(),
                                              config.overload);
-  domain_->set_canonical_order(config.canonical_order);
   poisson_ = std::make_unique<mesh::PoissonSolver>(world, decomp_,
                                                    config.spectral);
   // Ghost layer: passive particles live up to `overload` outside the
@@ -132,21 +131,26 @@ Simulation::Simulation(comm::Comm& world, const Cosmology& cosmo,
 }
 
 void Simulation::initialize() {
-  obs::Binding binding(&tracer_, &counters_);
-  obs::PhaseScope scope(kPhaseInit);
-  cosmology::IcConfig ic = config_.ic;
-  ic.particles_per_dim = config_.particles_per_dim;
-  ic.box_mpch = config_.box_mpch;
-  ic.z_init = config_.z_initial;
-  ic.seed = config_.seed;
-  cosmology::generate_zeldovich(world_, decomp_, cosmo_, ic, particles_);
-  domain_->refresh(world_, particles_);
-  steps_taken_ = 0;
-  a_ = Cosmology::a_of_z(config_.z_initial);
-  // Open the first invariance window over the freshly initialized state,
-  // so a flip at step 1 is already caught.
-  reset_audit_window();
-  audit_end_step();
+  {
+    obs::Binding binding(&tracer_, &counters_);
+    obs::PhaseScope scope(kPhaseInit);
+    cosmology::IcConfig ic = config_.ic;
+    ic.particles_per_dim = config_.particles_per_dim;
+    ic.box_mpch = config_.box_mpch;
+    ic.z_init = config_.z_initial;
+    ic.seed = config_.seed;
+    cosmology::generate_zeldovich(world_, decomp_, cosmo_, ic, particles_);
+    domain_->refresh(world_, particles_);
+    steps_taken_ = 0;
+    a_ = Cosmology::a_of_z(config_.z_initial);
+    // Open the first invariance window over the freshly initialized state,
+    // so a flip at step 1 is already caught.
+    reset_audit_window();
+    audit_end_step();
+  }
+  // The first ledger record covers the first step only, however the
+  // driver steps.
+  (void)ledger_counter_samples();
 }
 
 mesh::DistGrid Simulation::density_contrast() {
@@ -195,7 +199,7 @@ mesh::DistGrid Simulation::density_contrast() {
     }
     if (!flips.empty()) counters_.add(kCtrMemoryFlips, flips.size());
   }
-  if (config_.audit.cadence > 0 && config_.audit.mass_conservation) {
+  if (config_.audit.cadence > 0) {
     audit_.grid_mass += rho.interior_sum();
     audit_.deposits += 1.0;
   }
@@ -380,26 +384,24 @@ void Simulation::apply_particle_memory_faults() {
 void Simulation::audit_begin_step() {
   apply_particle_memory_faults();
   const AuditConfig& audit = config_.audit;
-  if (audit.cadence > 0 && audit.checksum && audit_.stash_valid) {
+  if (audit.cadence > 0 && audit_.stash_valid) {
     obs::PhaseScope scope(kPhaseAudit);
     // The inter-step window is idle: nothing legitimately mutates particle
     // state between the end-of-step stash and here, so any difference is
     // resident-memory corruption.
-    if (particle_checksum(particles_, config_.canonical_order) !=
+    if (particle_checksum(particles_, /*assume_id_sorted=*/true) !=
         audit_.stash)
       audit_.checksum_mismatches += 1.0;
   }
   audit_.stash_valid = false;  // consumed; re-stashed at end of step
-  audit_.dup_pending = audit.cadence > 0 && audit.duplicate_execution &&
-                       config_.solver == ShortRangeSolver::kTreePP &&
+  audit_.dup_pending = config_.solver == ShortRangeSolver::kTreePP &&
                        audit_due(steps_taken_ + 1);
 }
 
 void Simulation::audit_end_step() {
-  const AuditConfig& audit = config_.audit;
-  if (audit.cadence > 0 && audit.checksum) {
+  if (config_.audit.cadence > 0) {
     obs::PhaseScope scope(kPhaseAudit);
-    audit_.stash = particle_checksum(particles_, config_.canonical_order);
+    audit_.stash = particle_checksum(particles_, /*assume_id_sorted=*/true);
     audit_.stash_valid = true;
   }
 }
@@ -457,9 +459,6 @@ void Simulation::run() {
     // every completed step's record on disk.
     if (world_.rank() == 0 && !ledger_.streaming())
       ledger_.stream_to(config_.ledger_path);
-    // Reset the delta baseline so initialize()'s phases and counters do not
-    // leak into the first step's record.
-    (void)ledger_counter_samples();
   }
   for (int s = 0; s < config_.steps; ++s) {
     step();
@@ -571,19 +570,9 @@ tree::ParticleArray Simulation::gather_active() {
                           particles_.id[i]});
   }
   tree::ParticleArray out;
-  constexpr int kTagGatherActive = -400;
-  if (world_.rank() == 0) {
-    auto append = [&out](const std::vector<Packed>& v) {
-      for (const auto& q : v)
-        out.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id,
-                      tree::Role::kActive);
-    };
-    append(mine);
-    for (int r = 1; r < world_.size(); ++r)
-      append(world_.recv_vector<Packed>(r, kTagGatherActive));
-  } else {
-    world_.send(0, kTagGatherActive, std::span<const Packed>(mine));
-  }
+  for (const Packed& q : world_.gatherv(std::span<const Packed>(mine), 0))
+    out.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id,
+                  tree::Role::kActive);
   return out;
 }
 
@@ -607,45 +596,42 @@ void Simulation::write_checkpoint(const std::string& path) {
 }
 
 void Simulation::read_checkpoint(const std::string& path) {
-  obs::Binding binding(&tracer_, &counters_);
-  obs::PhaseScope scope(kPhaseCheckpoint);
-  const gio::ReadReport report =
-      gio::read_particles(world_, path, particles_);
-  if (!report.corrupt.empty()) {
-    // Restarting from zero-filled physics would be silently wrong; refuse
-    // and name the damage (the gio read itself never aborts).
-    std::string what = "checkpoint " + path + " has corrupt blocks:";
-    for (const auto& c : report.corrupt)
-      what += " [block " + std::to_string(c.block) + " var " + c.var_name +
-              "]";
-    throw Error(what);
+  {
+    obs::Binding binding(&tracer_, &counters_);
+    obs::PhaseScope scope(kPhaseCheckpoint);
+    const gio::ReadReport report =
+        gio::read_particles(world_, path, particles_);
+    if (!report.corrupt.empty()) {
+      // Restarting from zero-filled physics would be silently wrong; refuse
+      // and name the damage (the gio read itself never aborts).
+      std::string what = "checkpoint " + path + " has corrupt blocks:";
+      for (const auto& c : report.corrupt)
+        what += " [block " + std::to_string(c.block) + " var " + c.var_name +
+                "]";
+      throw Error(what);
+    }
+    HACC_CHECK_MSG(report.meta.grid == config_.grid &&
+                       report.meta.box_mpch == config_.box_mpch,
+                   "checkpoint does not match the simulation configuration");
+    a_ = report.meta.scale_factor;
+    // Recompute how many steps the restored state corresponds to.
+    const double a_init = Cosmology::a_of_z(config_.z_initial);
+    const double a_final = Cosmology::a_of_z(config_.z_final);
+    const double da = (a_final - a_init) / static_cast<double>(config_.steps);
+    steps_taken_ = static_cast<int>(std::lround((a_ - a_init) / da));
+    // Elastic restore: the blocks just read are partitioned by file order,
+    // not by domain — route every particle to its owner, then rebuild the
+    // passive layer.
+    gio::redistribute_by_domain(world_, decomp_, particles_);
+    domain_->refresh(world_, particles_);
+    // The restored state seeds fresh audit baselines: stale windows or
+    // accumulated findings from the abandoned trajectory must not trip the
+    // next gate.
+    reset_audit_window();
+    audit_end_step();
   }
-  HACC_CHECK_MSG(report.meta.grid == config_.grid &&
-                     report.meta.box_mpch == config_.box_mpch,
-                 "checkpoint does not match the simulation configuration");
-  a_ = report.meta.scale_factor;
-  // Recompute how many steps the restored state corresponds to.
-  const double a_init = Cosmology::a_of_z(config_.z_initial);
-  const double a_final = Cosmology::a_of_z(config_.z_final);
-  const double da = (a_final - a_init) / static_cast<double>(config_.steps);
-  steps_taken_ = static_cast<int>(std::lround((a_ - a_init) / da));
-  // Elastic restore: the blocks just read are partitioned by file order,
-  // not by domain — route every particle to its owner, then rebuild the
-  // passive layer.
-  gio::redistribute_by_domain(world_, decomp_, particles_);
-  domain_->refresh(world_, particles_);
-  // The restored state seeds fresh audit baselines: stale windows or
-  // accumulated findings from the abandoned trajectory must not trip the
-  // next gate.
-  reset_audit_window();
-  audit_end_step();
-}
-
-void Simulation::rollback(const std::string& path) {
-  // In-place restore: same machine, same width, no teardown — the elastic
-  // gio read routes blocks to the live ranks and the refresh rebuilds the
-  // passive layer. read_checkpoint also re-arms the audit window.
-  read_checkpoint(path);
+  // As after initialize(): the next ledger record covers the next step.
+  (void)ledger_counter_samples();
 }
 
 Simulation::EnergyDiagnostics Simulation::energy() {
@@ -786,8 +772,7 @@ Simulation::HealthReport Simulation::health_check() {
   }
   report.audited = audit_due(steps_taken_);
   if (report.audited) {
-    if (config_.audit.energy_tracker && prev_audit_kinetic_ > 0 &&
-        report.kinetic > 0)
+    if (prev_audit_kinetic_ > 0 && report.kinetic > 0)
       report.kinetic_jump = report.kinetic / prev_audit_kinetic_;
     prev_audit_kinetic_ = report.kinetic;
     // This gate consumed the accumulated findings; publish them to the

@@ -81,12 +81,6 @@ struct SimulationConfig {
   /// GioConfig::verify_after_write). A checkpoint that cannot be read back
   /// clean is refused instead of published.
   bool checkpoint_verify = true;
-  /// Keep particles in canonical (id) order at every refresh, so float
-  /// summation order — and the whole trajectory — is independent of
-  /// arrival/removal history. Required for bit-for-bit restart
-  /// reproducibility (a restore permutes particles); costs one O(n log n)
-  /// sort per refresh.
-  bool canonical_order = true;
   /// Short-range inner-loop implementation: the tile-batched explicit
   /// vector kernel (default) or the scalar `omp simd` reference loop. The
   /// HACC_KERNEL environment variable ("scalar"|"batched") overrides this.
@@ -258,13 +252,6 @@ class Simulation {
   };
   HealthReport health_check();
 
-  /// In-place SDC recovery: restore the checkpoint at `path` on the live
-  /// machine (elastic gio read + redistribution + overload refresh — no
-  /// Machine teardown) and reset the audit window so the restored state
-  /// seeds fresh baselines. Collective; throws if the checkpoint refuses
-  /// to read back clean.
-  void rollback(const std::string& path);
-
   /// Cosmic energy (Layzer-Irvine) diagnostics over active particles.
   /// kinetic  T = sum p^2 / (2 a^2),
   /// potential W = (1/2) sum Phi(x_i) with Phi = (3/2)(Omega_m/a) phi_c
@@ -286,7 +273,9 @@ class Simulation {
   /// rank count*: blocks are read elastically, every CRC is verified (a
   /// corrupt checkpoint is refused with the damaged blocks listed),
   /// particles are redistributed to their domain owners, and the
-  /// overloading refresh rebuilds the passive layer. Collective.
+  /// overloading refresh rebuilds the passive layer, and the audit window
+  /// is reset so the restored state seeds fresh baselines. Works on a live
+  /// machine too (the Supervisor's in-place SDC rollback). Collective.
   void read_checkpoint(const std::string& path);
 
  private:
@@ -305,8 +294,9 @@ class Simulation {
   /// Local audit work at the end of a step: stash the post-refresh
   /// canonical checksum for the next step's window.
   void audit_end_step();
-  /// Drop the stash and accumulated findings (initialize/rollback): the
-  /// restored state seeds fresh baselines instead of tripping the window.
+  /// Drop the stash and accumulated findings (initialize/read_checkpoint):
+  /// the restored state seeds fresh baselines instead of tripping the
+  /// window.
   void reset_audit_window();
   /// True when the gate after `step` falls on the audit cadence.
   bool audit_due(int step) const noexcept {
@@ -315,7 +305,8 @@ class Simulation {
   }
 
   /// Counter deltas (gauges: absolute values) since the previous call,
-  /// phase.<x>.ns slots included; advances the baseline.
+  /// phase.<x>.ns slots included; advances the baseline. initialize() and
+  /// read_checkpoint() call it too, so a step's record never carries them.
   std::vector<std::pair<NameId, double>> ledger_counter_samples();
   /// Publish the cost-map summary gauges into counters_, so a live /metrics
   /// scrape sees them.

@@ -4,11 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
-#include <thread>
 
 #include "comm/fault.h"
 #include "gio/gio.h"
@@ -24,10 +22,16 @@ namespace {
 constexpr const char* kCkptPrefix = "ckpt_";
 constexpr const char* kCkptSuffix = ".gio";
 
+/// In-place rollbacks tolerated per attempt before an SDC detection
+/// escalates to the relaunch path instead — a state that keeps failing its
+/// audits after restore means the damage is upstream of this machine's
+/// memory (e.g. every surviving checkpoint is bad).
+constexpr int kMaxRollbacksPerAttempt = 4;
+
 /// Durably record a completed rename in its directory: the fsync of the
 /// renamed *file* makes the bytes durable, but the directory entry created
 /// by the rename lives in the directory's own metadata — without this a
-/// power loss can roll the rename back and leave a stale (or no) pointer.
+/// power loss can roll the rename back and leave a stale (or no) file.
 void fsync_directory(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return;  // best effort: not all filesystems allow dir opens
@@ -46,26 +50,10 @@ std::string CheckpointSet::path_for_step(int step) const {
   return dir_ + "/" + name;
 }
 
-std::string CheckpointSet::latest_path() const { return dir_ + "/latest"; }
-
-void CheckpointSet::publish(int step) {
-  // Atomic pointer update: the `latest` file always names a checkpoint
-  // that was completely written and verified, never a partial state.
-  const std::string tmp = latest_path() + ".tmp";
-  {
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    HACC_CHECK_MSG(f != nullptr, "cannot write " + tmp);
-    const std::string body = std::to_string(step) + "\n";
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fflush(f);
-    ::fsync(fileno(f));
-    std::fclose(f);
-  }
-  HACC_CHECK_MSG(std::rename(tmp.c_str(), latest_path().c_str()) == 0,
-                 "cannot publish " + latest_path());
-  fsync_directory(dir_);  // make the rename itself crash-durable
-  // Rotate: drop everything older than the last `keep_` checkpoints,
-  // including their audit-verdict sidecars.
+void CheckpointSet::rotate() {
+  fsync_directory(dir_);  // make the checkpoint's rename crash-durable
+  // Drop everything older than the last `keep_` checkpoints, including
+  // their audit-verdict sidecars.
   const std::vector<int> steps = existing();
   for (std::size_t i = static_cast<std::size_t>(keep_); i < steps.size(); ++i) {
     std::remove(path_for_step(steps[i]).c_str());
@@ -107,16 +95,6 @@ std::string CheckpointSet::verdict(int step) const {
   return v;
 }
 
-int CheckpointSet::latest() const {
-  std::FILE* f = std::fopen(latest_path().c_str(), "rb");
-  if (f == nullptr) return -1;
-  char buf[32] = {};
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  if (n == 0) return -1;
-  return std::atoi(buf);
-}
-
 std::vector<int> CheckpointSet::existing() const {
   std::vector<int> steps;
   std::error_code ec;
@@ -135,10 +113,26 @@ std::vector<int> CheckpointSet::existing() const {
   return steps;
 }
 
-int ElasticPolicy::next_width(int width, int failed_ranks,
-                              int failures_at_width) const {
-  if (rule == ElasticRule::kSameWidth) return width;
-  if (failures_at_width < failures_before_shrink) return width;
+int CheckpointSet::newest_restorable(
+    const std::function<void(int step, const std::string& why)>& on_reject)
+    const {
+  for (const int step : existing()) {
+    // An audit verdict outranks the CRC: a "poisoned" checkpoint holds
+    // corruption *inside* its checksummed payload, so verify_file passing
+    // it proves nothing.
+    if (verdict(step) == "poisoned") {
+      on_reject(step, "audit verdict poisoned");
+      continue;
+    }
+    const gio::VerifyReport vr = gio::verify_file(path_for_step(step));
+    if (vr.ok) return step;
+    on_reject(step, vr.header_ok ? "sub-block CRC mismatch"
+                                 : "header unreadable");
+  }
+  return -1;
+}
+
+int ElasticPolicy::next_width(int width, int failed_ranks) const {
   int next = width;
   switch (rule) {
     case ElasticRule::kSameWidth:
@@ -174,7 +168,6 @@ Supervisor::Supervisor(const cosmology::Cosmology& cosmo,
   HACC_CHECK_MSG(config_.elastic.min_ranks >= 1 &&
                      config_.elastic.min_ranks <= config_.nranks,
                  "ElasticPolicy::min_ranks must be in [1, nranks]");
-  HACC_CHECK(config_.elastic.failures_before_shrink >= 1);
   fs::create_directories(config_.checkpoint_dir);
 }
 
@@ -226,8 +219,7 @@ void Supervisor::start_metrics_server() {
   });
 }
 
-void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
-                           int restore_step, int attempt) {
+void Supervisor::rank_main(comm::Comm& comm, int restore_step, int attempt) {
   Simulation sim(comm, cosmo_, config_.sim);
   // Register this rank's scrape sinks for the lifetime of the attempt.
   // Declared after `sim`, so unwinding removes the source from the hub
@@ -261,6 +253,8 @@ void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
     sim.mutable_ledger().stream_to(config_.sim.ledger_path,
                                    /*append=*/attempt > 0 || config_.resume);
   }
+  const std::string restore_path =
+      restore_step >= 0 ? checkpoints_.path_for_step(restore_step) : "";
   if (root)
     emit(obs::EventRecord{
         "attempt_start", -1, attempt,
@@ -329,50 +323,33 @@ void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
           if (cs > last_clean_audit && cs <= detect_step)
             checkpoints_.record_verdict(cs, "poisoned");
       }
-      if (++rollbacks_taken > config_.max_rollbacks) {
+      if (++rollbacks_taken > kMaxRollbacksPerAttempt) {
         const std::string msg =
             "SDC rollback budget exhausted (" +
-            std::to_string(config_.max_rollbacks) + ") after step " +
+            std::to_string(kMaxRollbacksPerAttempt) + ") after step " +
             std::to_string(detect_step) + ": " + what;
         if (root)
           emit(obs::EventRecord{"rollback_failed", detect_step, attempt, msg});
         throw Error(msg);
       }
-      // Pick the newest checkpoint that is neither poisoned nor damaged on
-      // disk; rescan with backoff to ride out transient FS trouble.
+      // Rank 0 picks the newest checkpoint that is neither poisoned nor
+      // damaged on disk; every rank restores the one it broadcasts.
       int candidate = -1;
-      for (int t = 0; t <= config_.rollback_retries && candidate < 0; ++t) {
-        if (t > 0 && config_.rollback_backoff_s > 0)
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              config_.rollback_backoff_s * t));
-        if (root) {
-          for (const int cs : checkpoints_.existing()) {
-            const std::string path = checkpoints_.path_for_step(cs);
-            if (checkpoints_.verdict(cs) == "poisoned") {
-              if (t == 0)
-                emit(obs::EventRecord{"checkpoint_rejected", cs, attempt,
-                                      path + ": audit verdict poisoned"});
-              continue;
-            }
-            if (!gio::verify_file(path).ok) {
-              if (t == 0)
-                emit(obs::EventRecord{"checkpoint_rejected", cs, attempt,
-                                      path + ": failed re-verification"});
-              continue;
-            }
-            candidate = cs;
-            break;
-          }
-        }
-        candidate = comm.bcast_value(candidate, 0);
-      }
+      if (root)
+        candidate = checkpoints_.newest_restorable(
+            [&](int cs, const std::string& why) {
+              emit(obs::EventRecord{"checkpoint_rejected", cs, attempt,
+                                    checkpoints_.path_for_step(cs) + ": " +
+                                        why});
+            });
+      candidate = comm.bcast_value(candidate, 0);
       if (candidate < 0) {
         // Escalate: no state on disk is trustworthy at this width. The
         // machine-level catch in run() owns what happens next (relaunch,
-        // possibly elastic, possibly cold).
+        // possibly elastic, possibly cold), and it rescans the chain.
         const std::string msg =
             "SDC detected after step " + std::to_string(detect_step) +
-            " and no audit-clean checkpoint is restorable: " + what;
+            " and no checkpoint is restorable: " + what;
         if (root)
           emit(obs::EventRecord{"rollback_failed", detect_step, attempt, msg});
         throw Error(msg);
@@ -380,7 +357,7 @@ void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
       // In-place restore on the live machine: no teardown, no relaunch. A
       // read failure here (the file died between verify and read) escapes
       // to run()'s catch and escalates exactly like any other rank fault.
-      sim.rollback(checkpoints_.path_for_step(candidate));
+      sim.read_checkpoint(checkpoints_.path_for_step(candidate));
       last_clean_audit = candidate;
       if (root) {
         ++report_.rollbacks;
@@ -411,7 +388,7 @@ void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
       const std::string path = checkpoints_.path_for_step(s);
       sim.write_checkpoint(path);  // write-then-verify inside (collective)
       if (root) {
-        checkpoints_.publish(s);
+        checkpoints_.rotate();
         // The verdict rides with the checkpoint: restores prefer state
         // that had passed a full audit at the moment it was written.
         checkpoints_.record_verdict(
@@ -419,7 +396,7 @@ void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
         health_.last_checkpoint.store(s, std::memory_order_relaxed);
         emit(obs::EventRecord{"checkpoint", s, attempt, path});
       }
-      comm.barrier();  // pointer update + rotation visible everywhere
+      comm.barrier();  // rotation visible everywhere
     }
   }
   if (on_finished) on_finished(sim, comm);
@@ -430,7 +407,6 @@ SupervisorReport Supervisor::run() {
   width_ = config_.nranks;
   start_metrics_server();  // outlives attempts: scrapeable through failures
   health_.completed.store(false, std::memory_order_relaxed);
-  int failures_at_width = 0;
   std::optional<Timer> recover_timer;  // starts when a failure is detected
   for (int attempt = 0;; ++attempt) {
     report_.attempts = attempt + 1;
@@ -438,44 +414,30 @@ SupervisorReport Supervisor::run() {
     report_.final_width = width_;
     health_.attempt.store(attempt, std::memory_order_relaxed);
     health_.width.store(width_, std::memory_order_relaxed);
-    std::string restore;
     int restore_step = -1;
     if (attempt > 0 || config_.resume) {
-      // Re-verify the chain newest-first: a checkpoint that was good when
-      // written can be damaged on disk afterwards, and `latest` may point
-      // at exactly that file. Restore from the first one that still reads
-      // back clean. Resume mode (a campaign relaunching a run a previous
-      // process advanced) takes the same path on the very first attempt.
+      // Re-verify the chain newest-first and restore from the first
+      // checkpoint that still reads back clean. Resume mode (a campaign
+      // relaunching a run a previous process advanced) takes the same path
+      // on the very first attempt.
       Timer verify_timer;
-      for (const int step : checkpoints_.existing()) {
-        const std::string path = checkpoints_.path_for_step(step);
-        // An audit verdict outranks the CRC: a "poisoned" checkpoint holds
-        // corruption *inside* its checksummed payload, so verify_file
-        // passing it proves nothing.
-        if (checkpoints_.verdict(step) == "poisoned") {
-          record_event("checkpoint_rejected", step, attempt,
-                       path + ": audit verdict poisoned");
-          continue;
-        }
-        const gio::VerifyReport vr = gio::verify_file(path);
-        if (vr.ok) {
-          restore = path;
-          restore_step = step;
-          record_event("restore", step, attempt, path);
-          break;
-        }
-        record_event("checkpoint_rejected", step, attempt,
-                     path + (vr.header_ok ? ": sub-block CRC mismatch"
-                                          : ": header unreadable"));
-      }
+      restore_step = checkpoints_.newest_restorable(
+          [&](int step, const std::string& why) {
+            record_event("checkpoint_rejected", step, attempt,
+                         checkpoints_.path_for_step(step) + ": " + why);
+          });
       report_.verify_seconds += verify_timer.elapsed();
-      // A resume-mode warm start is a restore too (attempt > 0 relaunches
-      // are counted on their failure path below).
-      if (attempt == 0 && !restore.empty()) ++report_.restores;
-      if (restore.empty())
+      if (restore_step >= 0) {
+        record_event("restore", restore_step, attempt,
+                     checkpoints_.path_for_step(restore_step));
+        // A resume-mode warm start is a restore too (attempt > 0 relaunches
+        // are counted on their failure path below).
+        if (attempt == 0) ++report_.restores;
+      } else {
         record_event("restore_cold", -1, attempt,
                      "no usable checkpoint; restarting from initial "
                      "conditions");
+      }
       // Audit trail: every recovery attempt names the width it resumes at,
       // so a shrinking campaign's degradation history reads straight off
       // the ledger.
@@ -493,7 +455,7 @@ SupervisorReport Supervisor::run() {
       comm::Machine::run(
           width_,
           [&](comm::Comm& comm) {
-            rank_main(comm, restore, restore_step, attempt);
+            rank_main(comm, restore_step, attempt);
           },
           config_.machine, &machine_report);
       report_.completed = true;
@@ -514,29 +476,20 @@ SupervisorReport Supervisor::run() {
       // Elastic policy: shrink instead of retrying at a width that keeps
       // failing. The failed-rank count comes from the machine post-mortem
       // (root causes only, not collateral aborts).
-      ++failures_at_width;
       const int failed =
           std::max<int>(1, static_cast<int>(machine_report.failed_ranks.size()));
-      const int next =
-          config_.elastic.next_width(width_, failed, failures_at_width);
+      const int next = config_.elastic.next_width(width_, failed);
       if (next < width_) {
         ++report_.shrinks;
         record_event(
             "shrink", restore_step, attempt,
             "width " + std::to_string(width_) + " -> " + std::to_string(next) +
                 " (" + elastic_rule_name(config_.elastic.rule) + ", " +
-                std::to_string(failed) + " failed rank(s), " +
-                std::to_string(failures_at_width) + " failure(s) at width " +
-                std::to_string(width_) + ")");
+                std::to_string(failed) + " failed rank(s))");
         // A campaign pool reclaims the shed ranks before the narrower
         // attempt launches.
         if (on_width_change) on_width_change(width_, next);
         width_ = next;
-        failures_at_width = 0;
-      }
-      if (config_.retry_backoff_s > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            config_.retry_backoff_s * (attempt + 1)));
       }
       if (between_attempts) between_attempts(attempt);
     }

@@ -14,7 +14,7 @@
 //             health violation aborts the machine with a diagnosis
 //   recover:  re-verify the checkpoint chain newest-first (a checkpoint can
 //             be damaged *after* it was written), restore from the first
-//             good one, resume; capped retries with linear backoff.
+//             good one, resume; capped retries.
 //
 // Elastic degraded mode: at scale the realistic failure mode is *losing
 // capacity* — a replacement partition at the same width may simply not be
@@ -31,8 +31,8 @@
 //
 // Every decision is recorded as an event line in the run ledger, fsync'd
 // before the run proceeds, so the recovery history survives the failures it
-// documents. With SimulationConfig::canonical_order on (the default), a
-// recovered run is bit-for-bit identical to an uninterrupted one.
+// documents. Particles are kept in canonical (id) order at every refresh,
+// so a recovered run is bit-for-bit identical to an uninterrupted one.
 #pragma once
 
 #include <atomic>
@@ -49,10 +49,11 @@
 
 namespace hacc::core {
 
-/// The rotated checkpoint chain of one run: `dir/ckpt_<step>.gio` files,
-/// a `dir/latest` pointer (atomically updated via tmp+rename), and last-K
-/// pruning. Path bookkeeping is serial; the checkpoint files themselves are
-/// written collectively by Simulation::write_checkpoint.
+/// The rotated checkpoint chain of one run: `dir/ckpt_<step>.gio` files
+/// with their audit-verdict sidecars, pruned to the last K. The directory
+/// itself is the one record of which checkpoints exist. Path bookkeeping is
+/// serial; the checkpoint files themselves are written collectively by
+/// Simulation::write_checkpoint.
 class CheckpointSet {
  public:
   CheckpointSet(std::string dir, int keep);
@@ -61,20 +62,15 @@ class CheckpointSet {
   int keep() const noexcept { return keep_; }
 
   std::string path_for_step(int step) const;
-  std::string latest_path() const;  ///< the `latest` pointer file
 
-  /// Record `step` as the newest checkpoint: atomically rewrite `latest`
-  /// (tmp+rename, both the file and the containing directory fsync'd — the
-  /// rename itself must survive a power loss, not just the bytes) and
-  /// unlink checkpoints beyond the last `keep`. Call on one rank only,
-  /// after the checkpoint file is published.
-  void publish(int step);
-
-  /// Step named by the `latest` pointer, or -1 when absent/unreadable.
-  int latest() const;
+  /// After a checkpoint file is published: fsync the directory (gio's
+  /// rename only becomes crash-durable once the directory entry is) and
+  /// unlink checkpoints beyond the last `keep`, with their sidecars. Call
+  /// on one rank only.
+  void rotate();
 
   /// Durably record an ABFT audit verdict for `step`'s checkpoint in a
-  /// `ckpt_<step>.audit` sidecar (tmp+rename+fsync, like `latest`). The
+  /// `ckpt_<step>.audit` sidecar (tmp+rename, file and directory fsync'd). The
   /// storage CRC says the *bytes* survived; the verdict says whether the
   /// *physics* they encode had passed an audit when written ("clean"), had
   /// not been audited yet ("unaudited"), or has since been implicated in a
@@ -90,10 +86,18 @@ class CheckpointSet {
 
   std::string verdict_path_for_step(int step) const;
 
-  /// Steps of all existing checkpoint files in `dir`, newest first. Scans
-  /// the directory, not the pointer: recovery must see checkpoints even
-  /// when `latest` itself was lost or points at a damaged file.
+  /// Steps of all existing checkpoint files in `dir`, newest first.
   std::vector<int> existing() const;
+
+  /// The restore candidate: the newest existing step whose verdict is not
+  /// "poisoned" and whose file passes gio::verify_file (a checkpoint can be
+  /// damaged on disk after it was written), or -1 when none qualifies.
+  /// Each skipped step is reported to `on_reject` with its path and reason
+  /// ("audit verdict poisoned", "sub-block CRC mismatch", "header
+  /// unreadable").
+  int newest_restorable(
+      const std::function<void(int step, const std::string& why)>& on_reject)
+      const;
 
  private:
   std::string dir_;
@@ -107,23 +111,19 @@ enum class ElasticRule {
   kHalve,           ///< halve the width (coarse but fast convergence)
 };
 
-/// Elastic degraded-mode policy: when and how far to shrink. The policy is
-/// consulted once per failed attempt; it never grows the width back (a
-/// shrink models capacity that is gone for the rest of the campaign).
+/// Elastic degraded-mode policy: how far to shrink. The policy is
+/// consulted once per failed attempt and shrinks on that failure; it never
+/// grows the width back (a shrink models capacity that is gone for the rest
+/// of the campaign).
 struct ElasticPolicy {
   ElasticRule rule = ElasticRule::kSameWidth;
   /// Hard floor: never relaunch below this many ranks.
   int min_ranks = 1;
-  /// Consecutive failures tolerated at a width before the policy shrinks;
-  /// 1 = shrink on the first failure. A same-width transient (e.g. one
-  /// corrupted message) then gets `failures_before_shrink - 1` full-width
-  /// retries before capacity is given up.
-  int failures_before_shrink = 1;
 
-  /// Width of the next attempt after `failures_at_width` consecutive
-  /// failures at `width`, of which `failed_ranks` ranks were root causes in
-  /// the latest attempt (>= 1; collateral aborts are not counted).
-  int next_width(int width, int failed_ranks, int failures_at_width) const;
+  /// Width of the next attempt after a failure at `width` in which
+  /// `failed_ranks` ranks were root causes (>= 1; collateral aborts are not
+  /// counted).
+  int next_width(int width, int failed_ranks) const;
 };
 
 /// Stable name of a rule ("same_width", "shrink_by_failed", "halve").
@@ -138,21 +138,9 @@ struct SupervisorConfig {
   int checkpoint_every = 1;  ///< steps between defensive checkpoints
   int keep = 2;              ///< checkpoint rotation depth (last K)
   int max_retries = 3;       ///< recovery attempts after the first run
-  double retry_backoff_s = 0;  ///< sleep attempt*backoff before retrying
   /// Health budget: max momentum-component drift from the first recorded
   /// value before the state is declared sick (<= 0 disables).
   double max_momentum_drift = 0;
-  // ---- silent-data-corruption response (sim.audit is the detection side) --
-  /// Extra scans of the checkpoint chain for a rollback candidate when the
-  /// first scan finds none (covers transient shared-FS hiccups).
-  int rollback_retries = 2;
-  /// Sleep `try * rollback_backoff_s` between those scans.
-  double rollback_backoff_s = 0;
-  /// In-place rollbacks tolerated per attempt before an SDC detection
-  /// escalates to the relaunch path instead — a state that keeps failing
-  /// its audits after restore means the damage is upstream of this
-  /// machine's memory (e.g. every surviving checkpoint is bad).
-  int max_rollbacks = 4;
   /// Runtime options for every attempt (receive deadline, payload
   /// verification, fault plan).
   comm::MachineOptions machine;
@@ -189,7 +177,7 @@ struct SupervisorReport {
   /// Wall seconds spent re-verifying the checkpoint chain before restores.
   double verify_seconds = 0;
   /// Wall seconds from the last failure being detected to the resumed
-  /// machine running (verification + backoff; the bench's headline).
+  /// machine running (chain re-verification; the bench's headline).
   double detect_to_resume_seconds = 0;
   // ---- elastic degraded-mode accounting ----
   int final_width = 0;  ///< rank count of the last attempt
@@ -252,8 +240,9 @@ class Supervisor {
   }
 
  private:
-  void rank_main(comm::Comm& comm, const std::string& restore_path,
-                 int restore_step, int attempt);
+  /// One rank of one attempt: restore `restore_step` (-1 = cold start),
+  /// then step, audit and checkpoint to the end of the run.
+  void rank_main(comm::Comm& comm, int restore_step, int attempt);
   void start_metrics_server();
   void record_event(const std::string& kind, int step, int attempt,
                     const std::string& detail);

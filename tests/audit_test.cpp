@@ -13,8 +13,8 @@
 //     cadence, rolled back in place (no machine relaunch), and the run
 //     completes bit-for-bit identical to an uninterrupted one; a
 //     CRC-clean-but-physically-poisoned checkpoint is skipped via its audit
-//     verdict; detection with no restorable checkpoint escalates to the
-//     relaunch ladder.
+//     verdict; detection with no restorable checkpoint, or past the
+//     in-place rollback budget, escalates to the relaunch ladder.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -561,6 +561,61 @@ TEST(SdcRollback, EscalatesToRelaunchWhenNothingIsRestorable) {
       << text;
   EXPECT_NE(text.find("\"event\":\"attempt_failed\""), std::string::npos);
   EXPECT_NE(text.find("\"event\":\"restore_cold\""), std::string::npos);
+
+  fs::remove_all(scfg.checkpoint_dir);
+}
+
+TEST(SdcRollback, RollbackBudgetEscalatesToRelaunch) {
+  // A flip that re-fires every time step 4 is replayed: each in-place
+  // rollback to ckpt_2 walks straight back into it. Four rollbacks are
+  // allowed per attempt; the 5th detection escalates, and the relaunch
+  // (whose replay of step 4 is the first without a flip) finishes clean.
+  const SimulationConfig cfg = sdc_config();
+  cosmology::Cosmology cosmo;
+  const Bits ref = reference_bits(cfg, cosmo, 2);
+
+  SupervisorConfig scfg = sdc_supervisor_config(cfg, "hacc_sdc_budget");
+  comm::FaultPlan plan;
+  // Lowest mantissa bit: invisible to the physics, caught by the checksum.
+  plan.flip_bits_in_particles(/*rank=*/1, /*step=*/4, /*nbits=*/1)
+      .pin_bit(0)
+      .repeat(5);
+  scfg.machine.fault_plan = &plan;
+
+  Supervisor sup(cosmo, scfg);
+  Bits got;
+  sup.on_finished = [&](Simulation& sim, comm::Comm& c) {
+    collect_bits(sim, c, &got);
+  };
+  const SupervisorReport rep = sup.run();
+
+  EXPECT_TRUE(rep.completed) << rep.last_error;
+  EXPECT_EQ(rep.attempts, 2);
+  EXPECT_EQ(rep.sdc_detections, 5);
+  EXPECT_EQ(rep.rollbacks, 4);
+  EXPECT_EQ(rep.restores, 1);
+  EXPECT_EQ(ref, got);
+
+  // Four rollback/resume pairs, then the budget refusal, then the relaunch
+  // restores from the chain.
+  const std::string text = read_file(scfg.sim.ledger_path);
+  const auto count = [&](const std::string& needle) {
+    int n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  EXPECT_EQ(count("\"event\":\"rollback\""), 4) << text;
+  EXPECT_EQ(count("\"event\":\"resume\""), 4) << text;
+  EXPECT_EQ(count("\"event\":\"rollback_failed\""), 1) << text;
+  const std::size_t at_failed = text.find("\"event\":\"rollback_failed\"");
+  EXPECT_NE(text.find("budget exhausted", at_failed), std::string::npos)
+      << text;
+  const std::size_t at_restore = text.find("\"event\":\"restore\"");
+  ASSERT_NE(at_restore, std::string::npos) << text;
+  EXPECT_LT(at_failed, at_restore);
+  EXPECT_LT(text.rfind("\"event\":\"rollback\""), at_failed);
 
   fs::remove_all(scfg.checkpoint_dir);
 }

@@ -551,6 +551,43 @@ TEST(Simulation, PhaseCountersCoverTheExpectedPhases) {
   });
 }
 
+TEST(Simulation, HandSteppedLedgerStartsAtTheFirstStep) {
+  // A driver that steps by hand (no run()) gets records that cover its
+  // steps only: neither initialize() nor a checkpoint write/read before
+  // the step is charged to the next record.
+  SimulationConfig cfg;
+  cfg.grid = 16;
+  cfg.particles_per_dim = 12;
+  cfg.box_mpch = 32.0;
+  cfg.z_initial = 30.0;
+  cfg.z_final = 10.0;
+  cfg.steps = 3;
+  cfg.subcycles = 2;
+  cfg.overload = 3.0;
+  cosmology::Cosmology cosmo;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hacc_ledger_hand").string();
+  comm::Machine::run(2, [&](comm::Comm& c) {
+    Simulation sim(c, cosmo, cfg);
+    sim.initialize();
+    sim.step();
+    sim.record_step_ledger();
+    sim.write_checkpoint(path);
+    sim.read_checkpoint(path);
+    sim.step();
+    sim.record_step_ledger();
+    if (c.rank() != 0) return;
+    const auto& records = sim.ledger().records();
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].phases.count("init"), 0u);
+    EXPECT_EQ(records[0].phases.count("cic"), 1u);
+    EXPECT_GT(records[0].wall.mean, 0.0);
+    EXPECT_EQ(records[1].phases.count("checkpoint"), 0u);
+    EXPECT_EQ(records[1].phases.count("cic"), 1u);
+  });
+  std::filesystem::remove(path);
+}
+
 TEST(Simulation, HealthCheckPassesOnHealthyStateAndFlagsDamage) {
   SimulationConfig cfg;
   cfg.grid = 16;
@@ -612,30 +649,28 @@ TEST(Simulation, HealthCheckPassesOnHealthyStateAndFlagsDamage) {
   });
 }
 
-TEST(CheckpointSet, RotationAndLatestPointer) {
+TEST(CheckpointSet, RotationKeepsTheNewestK) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "hacc_ckpt_set").string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   CheckpointSet set(dir, /*keep=*/2);
 
-  EXPECT_EQ(set.latest(), -1);  // no pointer yet
   EXPECT_TRUE(set.existing().empty());
 
   const auto touch = [&](int step) {
     std::ofstream(set.path_for_step(step)) << "x";
   };
   touch(2);
-  set.publish(2);
-  EXPECT_EQ(set.latest(), 2);
+  set.rotate();
+  EXPECT_EQ(set.existing(), (std::vector<int>{2}));
   touch(4);
-  set.publish(4);
+  set.rotate();
   touch(6);
-  set.publish(6);
+  set.rotate();
 
-  // Rotation keeps only the newest `keep` files; the pointer tracks the
-  // newest; existing() lists newest first from the directory itself.
-  EXPECT_EQ(set.latest(), 6);
+  // Rotation keeps only the newest `keep` files; existing() lists them
+  // newest first from the directory itself.
   EXPECT_EQ(set.existing(), (std::vector<int>{6, 4}));
   EXPECT_FALSE(std::filesystem::exists(set.path_for_step(2)));
   EXPECT_TRUE(std::filesystem::exists(set.path_for_step(4)));
@@ -644,41 +679,6 @@ TEST(CheckpointSet, RotationAndLatestPointer) {
   std::ofstream(dir + "/ckpt_junk.gio") << "x";
   std::ofstream(dir + "/notes.txt") << "x";
   EXPECT_EQ(set.existing(), (std::vector<int>{6, 4}));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CheckpointSet, RecoversFromMissingLatestPointer) {
-  // A power-loss-style crash can lose the `latest` pointer entirely (the
-  // rename not yet durable in the directory — publish() fsyncs the
-  // directory to close exactly that window, but an already-written tree
-  // may predate it). Recovery must not depend on the pointer: existing()
-  // scans the directory itself, so the checkpoint chain is still found and
-  // ordered newest first.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "hacc_ckpt_nolatest").string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  CheckpointSet set(dir, /*keep=*/3);
-
-  const auto touch = [&](int step) {
-    std::ofstream(set.path_for_step(step)) << "x";
-  };
-  touch(2);
-  set.publish(2);
-  touch(5);
-  set.publish(5);
-  ASSERT_EQ(set.latest(), 5);
-
-  // The crash: `latest` is gone; the checkpoint files survived.
-  ASSERT_TRUE(std::filesystem::remove(set.latest_path()));
-  EXPECT_EQ(set.latest(), -1);
-  EXPECT_EQ(set.existing(), (std::vector<int>{5, 2}));
-
-  // The next publish re-creates the pointer and keeps rotating.
-  touch(7);
-  set.publish(7);
-  EXPECT_EQ(set.latest(), 7);
-  EXPECT_EQ(set.existing(), (std::vector<int>{7, 5, 2}));
   std::filesystem::remove_all(dir);
 }
 
@@ -693,7 +693,7 @@ TEST(CheckpointSet, AuditVerdictSidecars) {
     std::ofstream(set.path_for_step(step)) << "x";
   };
   touch(2);
-  set.publish(2);
+  set.rotate();
 
   // No sidecar yet: the verdict is the empty string (read as "unaudited").
   EXPECT_EQ(set.verdict(2), "");
@@ -711,12 +711,58 @@ TEST(CheckpointSet, AuditVerdictSidecars) {
 
   // Rotation prunes the sidecar together with its checkpoint (keep=1).
   touch(4);
-  set.publish(4);
+  set.rotate();
   set.record_verdict(4, "clean");
   EXPECT_FALSE(std::filesystem::exists(set.path_for_step(2)));
   EXPECT_FALSE(std::filesystem::exists(set.verdict_path_for_step(2)));
   EXPECT_EQ(set.verdict(2), "");
   EXPECT_EQ(set.verdict(4), "clean");
+
+  // newest_restorable() walks a deeper chain in the same directory.
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  set = CheckpointSet(dir, /*keep=*/4);
+  std::vector<std::pair<int, std::string>> rejected;
+  const auto pick = [&] {
+    rejected.clear();
+    return set.newest_restorable([&](int step, const std::string& why) {
+      rejected.emplace_back(step, why);
+    });
+  };
+  EXPECT_EQ(pick(), -1);  // empty chain
+  EXPECT_TRUE(rejected.empty());
+
+  // The restore scan reads the verdicts. Real checkpoints at steps 2, 4
+  // and 6.
+  SimulationConfig cfg;
+  cfg.grid = 16;
+  cfg.particles_per_dim = 8;
+  cfg.overload = 3.0;
+  cosmology::Cosmology cosmo;
+  comm::Machine::run(2, [&](comm::Comm& c) {
+    Simulation sim(c, cosmo, cfg);
+    sim.initialize();
+    for (const int step : {2, 4, 6})
+      sim.write_checkpoint(set.path_for_step(step));
+  });
+  set.rotate();
+  EXPECT_EQ(pick(), 6);
+  EXPECT_TRUE(rejected.empty());
+
+  // A poisoned verdict outranks a clean CRC; a damaged sub-block is found
+  // by the re-verification. The scan falls through both to step 2.
+  set.record_verdict(6, "poisoned");
+  gio::flip_byte_in_variable(set.path_for_step(4), 1, "vx", 7);
+  EXPECT_EQ(pick(), 2);
+  EXPECT_EQ(rejected,
+            (std::vector<std::pair<int, std::string>>{
+                {6, "audit verdict poisoned"}, {4, "sub-block CRC mismatch"}}));
+
+  // A file without a readable header is rejected too; nothing qualifies.
+  std::ofstream(set.path_for_step(2), std::ios::trunc) << "x";
+  EXPECT_EQ(pick(), -1);
+  ASSERT_EQ(rejected.size(), 3u);
+  EXPECT_EQ(rejected[2], (std::pair<int, std::string>{2, "header unreadable"}));
   std::filesystem::remove_all(dir);
 }
 
@@ -750,7 +796,7 @@ TEST(Supervisor, CompletesCleanRunWithRotatedCheckpoints) {
   EXPECT_EQ(report.final_step, 3);
   EXPECT_EQ(report.last_error, "");
   EXPECT_EQ(finished_step, 3);
-  EXPECT_EQ(sup.checkpoints().latest(), 3);
+  EXPECT_EQ(sup.checkpoints().existing().front(), 3);
   EXPECT_EQ(sup.checkpoints().existing(), (std::vector<int>{3, 2}));
   std::filesystem::remove_all(scfg.checkpoint_dir);
 }
